@@ -29,6 +29,7 @@ from .determinacy import (
     DetResult,
     Verdict,
     analyze_determinacy,
+    finite_by_input,
     relation_verdict,
 )
 from .diagnostics import CODES, Diagnostic, Report, Severity
@@ -56,5 +57,6 @@ __all__ = [
     "check_before_derive",
     "disable_analysis",
     "enable_analysis",
+    "finite_by_input",
     "relation_verdict",
 ]

@@ -44,6 +44,16 @@ describe exactly the premise calls the backends will execute; the
 overlap test reuses the REL003 one-way matcher discipline on
 preprocessed conclusions restricted to input positions.  Verdicts are
 cached per context under :data:`DETERMINACY_KEY`.
+
+A separate property, :func:`finite_by_input`, says whether a producer
+mode's answer set is finite and small for every input: no type
+instantiation, every non-recursive producer premise finite by input
+in turn, and at most one recursive handler, whose only producer
+premise is its single self-call on a strict subterm of one input.  It
+is orthogonal to the lattice (``lookup ioi`` is ``multi`` and finite);
+generator derivation reads it to sample an enumeration instead of
+backtracking (:mod:`repro.derive.instances`).  Answers are cached
+under :data:`FINITE_KEY`.
 """
 
 from __future__ import annotations
@@ -53,12 +63,21 @@ from enum import IntEnum
 
 from ..core.context import Context
 from ..core.errors import ReproError
-from ..core.terms import Ctor, Term, Var, subst, var_set_all
+from ..core.terms import (
+    Ctor,
+    Term,
+    Var,
+    is_constructor_term,
+    subst,
+    var_set,
+    var_set_all,
+)
 from ..core.unify import unify
 from ..core.values import Value
 from ..derive.modes import Mode
 from ..derive.preprocess import preprocess_relation
 from ..derive.schedule import (
+    Handler,
     SCheckCall,
     SInstantiate,
     SProduce,
@@ -69,6 +88,9 @@ from ..derive.scheduler import build_schedule
 
 #: ``ctx.artifacts`` slot holding the ``{(rel, mode_str): Verdict}`` memo.
 DETERMINACY_KEY = "determinacy"
+#: ``ctx.artifacts`` slot holding the ``{(rel, mode_str): bool}`` memo
+#: of :func:`finite_by_input`.
+FINITE_KEY = "finite_by_input"
 
 
 class Verdict(IntEnum):
@@ -350,3 +372,91 @@ def analyze_determinacy(
     pending[(rel_name, str(mode_obj))] = result.verdict
     _compute(ctx, rel_name, mode_obj, pending, set(), result)
     return result
+
+
+# ---------------------------------------------------------------------------
+# Finite by input
+# ---------------------------------------------------------------------------
+
+def _decreasing(handler: Handler, call: SProduce) -> bool:
+    """Does the self-call *call* pass, at some input position, a
+    variable the conclusion binds strictly inside a constructor pattern
+    at that same position?  (Its inputs and the handler's patterns are
+    both in mode-input order, since the call is at the same mode.)"""
+    for arg, pattern in zip(call.in_args, handler.in_patterns):
+        if (
+            isinstance(arg, Var)
+            and isinstance(pattern, Ctor)
+            and is_constructor_term(pattern)
+            and arg.name in var_set(pattern)
+        ):
+            return True
+    return False
+
+
+def _finite(ctx: Context, rel_name: str, mode: Mode, pending: set) -> bool:
+    cache = ctx.artifacts.setdefault(FINITE_KEY, {})
+    key = (rel_name, str(mode))
+    if key in cache:
+        return cache[key]
+    if key in pending:
+        # A dependency cycle through non-recursive premises: resolution
+        # rejects those anyway, so refusing here is only conservative.
+        return False
+    try:
+        schedule = build_schedule(ctx, rel_name, mode)
+    except ReproError:
+        return False
+    pending.add(key)
+    try:
+        result = _finite_schedule(ctx, schedule, pending)
+    finally:
+        pending.discard(key)
+    cache[key] = result
+    return result
+
+
+def _finite_schedule(ctx: Context, schedule: Schedule, pending: set) -> bool:
+    recursive_handlers = 0
+    for handler in schedule.handlers:
+        produces = []
+        for step in handler.steps:
+            if isinstance(step, SInstantiate):
+                return False
+            if isinstance(step, SProduce):
+                produces.append(step)
+        if any(step.recursive for step in produces):
+            recursive_handlers += 1
+            if recursive_handlers > 1 or len(produces) != 1:
+                return False
+            if not _decreasing(handler, produces[0]):
+                return False
+        elif not all(
+            _finite(ctx, step.rel, step.mode, pending) for step in produces
+        ):
+            return False
+    return True
+
+
+def finite_by_input(ctx: Context, rel_name: str, mode: "Mode | str") -> bool:
+    """Is every answer set of the producer mode ``(rel_name, mode)``
+    finite, and bounded linearly in the size of one input?  (Cached.)
+
+    Holds when the real schedule has no ``SInstantiate`` step, every
+    non-recursive producer premise is itself finite by input, at most
+    one handler makes a recursive producer call, and that handler's
+    only producer premise is its single self-call, which passes a
+    variable bound strictly inside the conclusion's constructor pattern
+    at the same input position.  Every level of the fixpoint then adds
+    the finitely many answers of its non-recursive handlers and makes
+    one self-call on a strictly smaller input, so the enumeration at
+    any fuel has at most (size of that input + 1) × (answers of one
+    level's base handlers) items.  Checker modes never qualify.
+    """
+    rel = ctx.relations.get(rel_name)
+    if rel is None:
+        return False
+    mode_obj = mode if isinstance(mode, Mode) else Mode.for_relation(rel, mode)
+    if mode_obj.is_checker:
+        return False
+    return _finite(ctx, rel_name, mode_obj, set())

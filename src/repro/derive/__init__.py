@@ -13,7 +13,7 @@ from .instances import (
 )
 from .interp_checker import DerivedChecker, HandwrittenChecker
 from .interp_enum import DerivedEnumerator, HandwrittenEnumerator
-from .interp_gen import DerivedGenerator, HandwrittenGenerator
+from .interp_gen import DerivedGenerator, HandwrittenGenerator, SampledGenerator
 from .memo import (
     clear_memo,
     derive_stats,
@@ -62,6 +62,7 @@ __all__ = [
     "Mode",
     "Plan",
     "PlanHandler",
+    "SampledGenerator",
     "Schedule",
     "build_schedule",
     "clear_memo",

@@ -27,7 +27,7 @@ from ..core.errors import DerivationError
 from .instances import CHECKER, ENUM, GEN, resolve
 from .interp_checker import DerivedChecker, HandwrittenChecker
 from .interp_enum import DerivedEnumerator, HandwrittenEnumerator
-from .interp_gen import DerivedGenerator, HandwrittenGenerator
+from .interp_gen import DerivedGenerator, HandwrittenGenerator, SampledGenerator
 from .modes import Mode
 
 
@@ -98,7 +98,7 @@ def derive_generator(
     mode: "str | Mode | Iterable[int]",
     *,
     analysis: bool = True,
-) -> DerivedGenerator:
+) -> "DerivedGenerator | SampledGenerator":
     """Derive (or fetch) the constrained random generator for
     ``(rel, mode)``.
 
@@ -110,7 +110,7 @@ def derive_generator(
     _gate(ctx, rel, built, GEN, analysis)
     instance = resolve(ctx, GEN, rel, built)
     owner = getattr(instance.fn, "__self__", None)
-    if isinstance(owner, DerivedGenerator):
+    if isinstance(owner, (DerivedGenerator, SampledGenerator)):
         return owner
     return HandwrittenGenerator(ctx, instance)
 

@@ -181,6 +181,20 @@ def _derive_instance(
     from .scheduler import build_schedule
 
     schedule = build_schedule(ctx, rel, mode)
+    if kind == GEN:
+        from ..analysis.determinacy import finite_by_input
+
+        if finite_by_input(ctx, rel, mode):
+            # Few answers, fixed by the inputs: draw from the complete
+            # enumeration once instead of re-searching it by
+            # backtracking.  The gen schedule stays on the instance for
+            # certification (out_types, step census).
+            from .interp_gen import SampledGenerator
+
+            enum = _premise_instance(ctx, ENUM, rel, mode, backend)
+            fn = SampledGenerator(ctx, schedule, enum).gen_st
+            source = "compiled" if backend == "compiled" else "derived"
+            return Instance(kind, rel, mode, fn, source, schedule)
     if backend == "compiled":
         from . import codegen
 
@@ -210,14 +224,24 @@ def _derive_instance(
     return Instance(kind, rel, mode, fn, "derived", schedule)
 
 
+def _premise_instance(
+    ctx: Context, kind: str, rel: str, mode: Mode, backend: str
+) -> Instance:
+    """The instance derived code on *backend* calls for ``(kind, rel,
+    mode)``.  On the compiled backend a registered *handwritten*
+    instance always wins (user-supplied code is already native
+    Python); the interpreter's registry key holds it anyway."""
+    if backend == "compiled":
+        existing = lookup(ctx, kind, rel, mode)
+        if existing is not None and existing.source == "handwritten":
+            return wrap_instance(ctx, existing)
+    return resolve(ctx, kind, rel, mode, backend=backend)
+
+
 def resolve_compiled(ctx: Context, kind: str, rel: str, mode: Mode):
     """The callable for ``(kind, rel, mode)`` under the compiled
-    backend — except that a registered *handwritten* instance always
-    wins (user-supplied code is already native Python)."""
-    existing = lookup(ctx, kind, rel, mode)
-    if existing is not None and existing.source == "handwritten":
-        return wrap_instance(ctx, existing).fn
-    return resolve(ctx, kind, rel, mode, backend="compiled").fn
+    backend (a registered handwritten instance wins)."""
+    return _premise_instance(ctx, kind, rel, mode, "compiled").fn
 
 
 def resolve_compiled_checker(ctx: Context, rel: str):

@@ -51,9 +51,13 @@ class FlounderError(ReproError):
 class SearchConfig:
     """Budgets for the reference search.
 
-    ``max_nodes`` bounds the number of rule applications a single
-    open-goal query may explore; hitting it stops the search quietly
-    (callers treat the witness set as a sound under-approximation).
+    ``max_nodes`` bounds the number of rule applications plus
+    generate-and-test candidates a single query may explore; hitting it
+    stops an open-goal search quietly (callers treat the witness set as
+    a sound under-approximation) and makes :func:`derivable` raise
+    :class:`FlounderError`.  Candidates count because memoized ground
+    sub-queries make them otherwise free of rule applications, so a
+    fallback nested under recursion could run unbounded within budget.
     """
 
     neg_depth: int = 24
@@ -188,6 +192,11 @@ class _Engine:
                 self.success[success_key] = (depth, result)
         return result
 
+    def _charge(self) -> None:
+        self._nodes += 1
+        if self._nodes > self.cfg.max_nodes:
+            raise _Budget()
+
     # -- rules ------------------------------------------------------------------
 
     def _rename_rule(self, rule: Rule) -> tuple[Rule, dict[str, str]]:
@@ -205,9 +214,7 @@ class _Engine:
         s: Subst,
         depth: int,
     ) -> Iterator[tuple[Subst, Derivation]]:
-        self._nodes += 1
-        if self._nodes > self.cfg.max_nodes:
-            raise _Budget()
+        self._charge()
         renamed, mapping = self._rename_rule(rule)
         unified: Subst | None = s
         for goal_arg, pattern in zip(args, renamed.conclusion):
@@ -399,6 +406,7 @@ class _Engine:
         from ..producers.combinators import _enum_values
 
         for candidate in _enum_values(self.ctx, ty, self.cfg.enum_depth):
+            self._charge()
             s2 = dict(s)
             s2[name] = value_to_term(candidate)
             yield from self._solve_seq(premises, s2, depth, rule, 0)

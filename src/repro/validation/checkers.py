@@ -15,7 +15,7 @@ recorded, and any unknown construct fails certification outright.
 from __future__ import annotations
 
 from ..core.context import Context
-from ..semantics.proof_search import SearchConfig, derivable
+from ..semantics.proof_search import FlounderError, SearchConfig, derivable
 from ..derive.instances import CHECKER, Instance, resolve_checker
 from ..derive.schedule import (
     SAssign,
@@ -97,11 +97,12 @@ def certify_checker(
     monotone = ObligationResult("monotonicity", "proved")
     neg_sound = ObligationResult("negation-soundness", "proved")
 
-    skipped = 0
+    skipped = 0  # reference floundered on the tuple itself
+    floundered = 0  # reference floundered re-checking a claimed true
     for args in domain:
         try:
             truth = derivable(ctx, rel_name, args, cfg.ref_depth, search_cfg)
-        except Exception:  # node budget / floundering: skip this tuple
+        except FlounderError:  # node budget / floundering: skip tuple
             skipped += 1
             continue
         results = [instance.fn(f, args) for f in fuels]
@@ -120,8 +121,9 @@ def certify_checker(
                         deeper = derivable(
                             ctx, rel_name, args, 2 * cfg.ref_depth, search_cfg
                         )
-                    except Exception:
-                        deeper = True  # budget: cannot refute
+                    except FlounderError:
+                        floundered += 1
+                        deeper = True  # cannot refute
                     if not deeper:
                         sound.status = "refuted"
                         sound.counterexample = (args, f)
@@ -143,8 +145,15 @@ def certify_checker(
 
     detail = f"{len(domain)} argument tuples, fuels {fuels}"
     if skipped:
-        detail += f" ({skipped} skipped: reference budget)"
+        detail += f" ({skipped} skipped: reference floundered)"
     for ob in (sound, complete, monotone, neg_sound):
         ob.detail = detail
         cert.obligations.append(ob)
+    sound.detail += _floundered_note(floundered)
     return cert
+
+
+def _floundered_note(count: int) -> str:
+    """The detail suffix counting reference searches that floundered
+    (they cannot refute, so the obligation stands without them)."""
+    return f"; reference floundered on {count} case(s)" if count else ""

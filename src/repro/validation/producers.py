@@ -25,7 +25,7 @@ from ..derive.modes import Mode
 from ..derive.scheduler import required_instances
 from ..producers.outcome import OUT_OF_FUEL, is_value
 from ..semantics.proof_search import FlounderError, SearchConfig, derivable, solutions
-from .checkers import _fuel_ladder, census
+from .checkers import _floundered_note, _fuel_ladder, census
 from .domains import input_tuples
 from .obligations import (
     DEFAULT_CONFIG,
@@ -79,6 +79,24 @@ def _reference_witnesses(
     return [tuple(w[n] for n in names) for w in found]
 
 
+def _reference_accepts(
+    ctx: Context,
+    rel_name: str,
+    args: tuple[Value, ...],
+    cfg: ValidationConfig,
+    search_cfg: SearchConfig,
+) -> bool | None:
+    """Does the reference search derive ``rel_name(args)`` at
+    ``ref_depth`` or, failing that, twice as deep?  None when it
+    flounders (it cannot refute then)."""
+    try:
+        return derivable(
+            ctx, rel_name, args, cfg.ref_depth, search_cfg
+        ) or derivable(ctx, rel_name, args, 2 * cfg.ref_depth, search_cfg)
+    except FlounderError:
+        return None
+
+
 def _run_enum(
     instance: Instance, fuel: int, ins: tuple[Value, ...], cap: int
 ):
@@ -128,6 +146,7 @@ def certify_enumerator(
     honest = ObligationResult("fuel-marker-honesty", "proved")
     typed = ObligationResult("well-typed-outputs", "proved")
     search_cfg = SearchConfig(enum_depth=cfg.domain_depth + 2)
+    floundered = 0
 
     for ins in domain:
         previous: set[tuple[Value, ...]] | None = None
@@ -154,16 +173,12 @@ def certify_enumerator(
                     continue
                 checked.add(outs)
                 sound.cases += 1
-                args = _full_args(mode, ins, outs)
-                try:
-                    ok = derivable(
-                        ctx, rel_name, args, cfg.ref_depth, search_cfg
-                    ) or derivable(
-                        ctx, rel_name, args, 2 * cfg.ref_depth, search_cfg
-                    )
-                except Exception:
-                    ok = True  # reference budget: cannot refute
-                if not ok:
+                ok = _reference_accepts(
+                    ctx, rel_name, _full_args(mode, ins, outs), cfg, search_cfg
+                )
+                if ok is None:
+                    floundered += 1  # cannot refute
+                elif not ok:
                     sound.status = "refuted"
                     sound.counterexample = (ins, outs, f)
                 for v, ty in zip(outs, instance.schedule.out_types if instance.schedule else ()):
@@ -224,6 +239,7 @@ def certify_enumerator(
                 )
 
     detail = f"{len(domain)} input tuples, fuels {fuels}"
+    sound.detail = detail + _floundered_note(floundered)
     for ob in (sound, complete, monotone, honest, typed):
         ob.detail = ob.detail or detail
         cert.obligations.append(ob)
@@ -254,6 +270,7 @@ def certify_generator(
     complete = ObligationResult("statistical-completeness", "proved")
     search_cfg = SearchConfig(enum_depth=cfg.domain_depth + 2)
     rng = random.Random(cfg.seed)
+    floundered = 0
 
     for ins in domain:
         seen: set[tuple[Value, ...]] = set()
@@ -263,16 +280,12 @@ def certify_generator(
                 continue
             sound.cases += 1
             seen.add(item)
-            args = _full_args(mode, ins, item)
-            try:
-                ok = derivable(
-                    ctx, rel_name, args, cfg.ref_depth, search_cfg
-                ) or derivable(
-                    ctx, rel_name, args, 2 * cfg.ref_depth, search_cfg
-                )
-            except Exception:
-                ok = True  # reference budget: cannot refute
-            if not ok:
+            ok = _reference_accepts(
+                ctx, rel_name, _full_args(mode, ins, item), cfg, search_cfg
+            )
+            if ok is None:
+                floundered += 1  # cannot refute
+            elif not ok:
                 sound.status = "refuted"
                 sound.counterexample = (ins, item)
 
@@ -289,7 +302,10 @@ def certify_generator(
                     f"{cfg.gen_samples} draws"
                 )
 
-    sound.detail = f"{len(domain)} inputs × {cfg.gen_samples} samples"
+    sound.detail = (
+        f"{len(domain)} inputs × {cfg.gen_samples} samples"
+        + _floundered_note(floundered)
+    )
     complete.detail = complete.detail or "small witness sets fully covered"
     cert.obligations.append(sound)
     cert.obligations.append(complete)

@@ -7,13 +7,19 @@ from __future__ import annotations
 
 import importlib
 
+import pytest
+
 from repro.analysis import analyze_context
 from repro.analysis.determinacy import (
+    FINITE_KEY,
     Verdict,
     analyze_determinacy,
+    finite_by_input,
     relation_verdict,
 )
-from repro.casestudies import bst, stlc
+from repro.casestudies import bst, ifc, stlc
+from repro.core import parse_declarations
+from repro.stdlib import standard_context
 
 
 class TestVerdictLattice:
@@ -99,3 +105,75 @@ def test_corpus_determinacy_findings_are_stable():
             if d.code in ("REL007", "REL008", "REL009"):
                 rows.add((d.code, d.relation, d.mode))
     assert rows == GOLDEN_CORPUS_FINDINGS
+
+
+# ---------------------------------------------------------------------------
+# finite_by_input: which generator modes sample their enumeration
+# ---------------------------------------------------------------------------
+
+_FINITE_FIXTURES = """
+Inductive le : nat -> nat -> Prop :=
+| le_n : forall n, le n n
+| le_S : forall n m, le n m -> le n (S m).
+
+Inductive subseq : list nat -> list nat -> Prop :=
+| sub_nil : forall l, subseq [] l
+| sub_skip : forall x l1 l2, subseq l1 l2 -> subseq l1 (x :: l2)
+| sub_take : forall x l1 l2, subseq l1 l2 -> subseq (x :: l1) (x :: l2).
+
+Inductive paired : nat -> nat -> Prop :=
+| paired_any : forall n m, paired n m.
+"""
+
+
+def _fixture_context():
+    ctx = standard_context()
+    parse_declarations(ctx, _FINITE_FIXTURES)
+    return ctx
+
+
+_CONTEXTS = {
+    "stlc": stlc.make_context,
+    "bst": bst.make_context,
+    "ifc": ifc.make_context,
+    "fixtures": _fixture_context,
+}
+
+
+@pytest.mark.parametrize(
+    "where, rel, mode, expected",
+    [
+        # Answers fixed by a structurally decreasing input.
+        ("stlc", "lookup", "ioi", True),
+        ("fixtures", "le", "oi", True),
+        ("bst", "lt", "oi", True),
+        # The recursive call's input is the conclusion's bare variable.
+        ("bst", "lt", "io", False),
+        # Two self-calls and an infinite producer premise (lt io).
+        ("bst", "bst", "iio", False),
+        # ia_high instantiates its free v2.
+        ("ifc", "indist_atom", "io", False),
+        # The recursive handler also produces indist_atom io.
+        ("ifc", "indist_list", "io", False),
+        # Several recursive handlers and a type instantiation.
+        ("stlc", "typing", "ioi", False),
+        # Two recursive rules on the same input: exponentially many
+        # subsequences.
+        ("fixtures", "subseq", "oi", False),
+        # An unconstrained existential output.
+        ("fixtures", "paired", "io", False),
+    ],
+)
+def test_finite_by_input_verdicts(where, rel, mode, expected):
+    ctx = _CONTEXTS[where]()
+    assert finite_by_input(ctx, rel, mode) is expected
+    assert ctx.artifacts[FINITE_KEY][(rel, mode)] is expected
+
+
+def test_finite_by_input_is_separate_from_the_lattice():
+    # lookup ioi has many answers (one per matching position) yet a
+    # finite set of them: 'multi' on the lattice, finite by input.
+    ctx = stlc.make_context()
+    assert relation_verdict(ctx, "lookup", "ioi") is Verdict.MULTI
+    assert finite_by_input(ctx, "lookup", "ioi")
+    assert not finite_by_input(ctx, "lookup", "iii")

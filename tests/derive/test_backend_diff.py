@@ -450,6 +450,18 @@ class TestCaseStudies:
         assert_gens_agree(ctx, "indist_list", "io")
 
 
+class TestSampledGenerators:
+    """Finite-by-input modes derive generators that draw from their
+    enumeration; both backends share that draw and must agree."""
+
+    def test_stlc_lookup_ioi(self, stlc_ctx):
+        assert_enums_agree(stlc_ctx, "lookup", "ioi")
+        assert_gens_agree(stlc_ctx, "lookup", "ioi")
+
+    def test_le_oi(self, nat_ctx):
+        assert_gens_agree(nat_ctx, "le", "oi", fuel=6)
+
+
 class TestAllModesSmallRelations:
     """Every producer mode of the small fixtures, both producer kinds."""
 

@@ -7,8 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.values import V, from_int, from_list, nat_list, to_int, to_list
-from repro.derive import derive_checker, derive_enumerator, derive_generator
-from repro.producers.outcome import OUT_OF_FUEL, is_value
+from repro.derive import (
+    ENUM,
+    GEN,
+    Mode,
+    SampledGenerator,
+    derive_checker,
+    derive_enumerator,
+    derive_generator,
+    resolve,
+)
+from repro.derive.instances import resolve_compiled
+from repro.producers.outcome import FAIL, OUT_OF_FUEL, is_value
+from repro.resilience import budget_scope
 from repro.semantics import derivable
 
 
@@ -165,3 +176,67 @@ class TestMultipleOutputs:
             if found >= 25:
                 break
         assert found >= 10
+
+
+_N = V("N")
+_ARR = V("Arr", _N, _N)
+
+
+class TestSampledGeneratorSupport:
+    """A finite-by-input generator is one uniform draw from its mode's
+    enumeration: over seeded draws at a fixed fuel its outputs are
+    exactly the enumerator's answers, and an empty enumeration draws
+    FAIL when complete and OUT_OF_FUEL when it carries a fuel marker."""
+
+    CASES = [
+        # [N; N->N; N; N] holds N at 0, 2 and 3: fuel cuts the deeper
+        # ones, so the answer count grows with fuel.
+        ("stlc_ctx", "lookup", "ioi", (from_list([_N, _ARR, _N, _N]), _N),
+         {1, 2, 3}),
+        # An absent type: empty with a fuel marker at low fuel, then
+        # complete and empty.
+        ("stlc_ctx", "lookup", "ioi", (from_list([_N, _N]), _ARR),
+         {"OUT_OF_FUEL", "FAIL"}),
+        ("nat_ctx", "le", "oi", (from_int(5),), {1, 2, 3, 4, 6}),
+    ]
+
+    @pytest.mark.parametrize("backend", ["interp", "compiled"])
+    @pytest.mark.parametrize("fixture, rel, mode, ins, regimes", CASES)
+    def test_draws_cover_the_enumeration(
+        self, request, backend, fixture, rel, mode, ins, regimes
+    ):
+        ctx = request.getfixturevalue(fixture)
+        mode = Mode.from_string(mode)
+        assert isinstance(derive_generator(ctx, rel, mode), SampledGenerator)
+        if backend == "interp":
+            enum = resolve(ctx, ENUM, rel, mode).fn
+            gen = resolve(ctx, GEN, rel, mode).fn
+        else:
+            enum = resolve_compiled(ctx, ENUM, rel, mode)
+            gen = resolve_compiled(ctx, GEN, rel, mode)
+        seen = set()
+        for fuel in (0, 1, 2, 3, 8):
+            items = list(enum(fuel, ins))
+            answers = {x for x in items if is_value(x)}
+            rng = random.Random(fuel)
+            draws = {gen(fuel, ins, rng) for _ in range(200)}
+            if answers:
+                assert draws == answers, (fuel, draws, answers)
+                seen.add(len(answers))
+            else:
+                expected = OUT_OF_FUEL if OUT_OF_FUEL in items else FAIL
+                assert draws == {expected}, fuel
+                seen.add(str(expected))
+        assert seen == regimes
+
+    def test_budget_cut_draws_out_of_fuel(self, nat_ctx):
+        # A tripped budget leaves a partial enumeration with answers in
+        # it; the draw reports the indefinite outcome, not one of them.
+        enum = derive_enumerator(nat_ctx, "le", "oi")
+        gen = derive_generator(nat_ctx, "le", "oi")
+        with budget_scope(nat_ctx, max_ops=20):
+            items = list(enum(50, from_int(40)))
+        assert any(is_value(x) for x in items) and items[-1] is OUT_OF_FUEL
+        with budget_scope(nat_ctx, max_ops=20):
+            assert gen(50, from_int(40), rng=random.Random(0)) is OUT_OF_FUEL
+        assert is_value(gen(50, from_int(40), rng=random.Random(0)))

@@ -6,6 +6,7 @@ from repro.core import parse_declarations
 from repro.core.terms import Var, value_to_term
 from repro.core.values import from_int, nat_list
 from repro.semantics import (
+    FlounderError,
     SearchConfig,
     check_derivation,
     derivable,
@@ -111,6 +112,28 @@ class TestNonterminatingRelation:
         # NonZero keeps demanding zero (S n): no finite derivation.
         for depth in (4, 8, 16):
             assert not derivable(zero_ctx, "zero", (from_int(3),), depth)
+
+
+class TestNodeBudget:
+    def test_generate_and_test_candidates_are_charged(self, ctx):
+        # pal_app's conclusion calls app, so [0; 2; 0] sends the search
+        # into a generate-and-test fallback nested under recursion.  Its
+        # candidates hit memoized ground sub-goals and apply no rules,
+        # so only charging each candidate keeps the query bounded.
+        parse_declarations(
+            ctx,
+            """
+            Inductive pal : list nat -> Prop :=
+            | pal_nil : pal []
+            | pal_one : forall x, pal [x]
+            | pal_app : forall l x, pal l -> pal (x :: l ++ [x]).
+            """,
+        )
+        with pytest.raises(FlounderError):
+            derivable(
+                ctx, "pal", (nat_list([0, 2, 0]),), 10,
+                SearchConfig(enum_depth=5, max_nodes=300),
+            )
 
 
 class TestNegation:
