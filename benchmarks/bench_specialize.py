@@ -16,7 +16,7 @@ Measures the term-representation specialization pass
   (``benchmarks/legacy/codegen_pr5.py``); bar: **<= 1.05x** (the
   twin machinery must cost nothing when off).
 * **functionalization vs PR 6** — the live emitter with the
-  determinacy-driven functionalization + inlining pass *on* vs the
+  determinacy-driven functionalization pass *on* vs the
   frozen pre-pass emitter (``benchmarks/legacy/codegen_pr6.py``) on
   the STLC typing checker, where the TApp premise collapses from
   enumerate-then-check to direct type inference; bar: **>= 1.5x**.

@@ -10,9 +10,8 @@ it computes a verdict on a four-point lattice (join = max)::
 * ``det`` — at most one answer, and every scheduled rule body is
   *loop-free*: no enumeration steps at all (only pattern tests,
   equality checks, checker calls and recursive self-checks).  For
-  checker modes this is the inlining-grade verdict — the whole
-  decision procedure is straight-line per fixpoint level, so a caller
-  can splice it into its own dispatch (``repro.derive.codegen``).
+  checker modes the whole decision procedure is straight-line per
+  fixpoint level.
 * ``functional`` — the output slots are uniquely determined by the
   input slots (at most one answer per input tuple): rule conclusions
   are pairwise non-overlapping on the input positions, and every

@@ -27,6 +27,11 @@ Compilation scheme (checker):
   ``continue``\\ s; the handler returns ``Some false`` only when the
   flag stayed clear).
 
+One op walker (:class:`_SpecPlanCompiler`) emits every checker
+fixpoint: the boxed ``rec`` is its all-``BOX`` case, and the
+representation-specialized twins differ only in the reprs fixed at
+each compile site in :func:`compile_checker`.
+
 Enumerators compile to Python generator functions (``yield`` /
 ``yield from``), generators to single-sample recursive functions with
 the weighted-backtrack loop at the top.  External instances are
@@ -92,6 +97,10 @@ class _Emitter:
 
 
 class _PlanCompiler:
+    """Plan-to-source compiler: the enumerator and generator walkers,
+    the direct-eval twin, the dispatch tables and the instrumented
+    fixpoint top.  The checker op walker is :class:`_SpecPlanCompiler`."""
+
     def __init__(
         self, ctx: Context, plan: Plan, kind: str, fast: bool = False
     ) -> None:
@@ -313,167 +322,6 @@ class _PlanCompiler:
                 f"_hs = _disp_{which}.get({scrut}.ctor, _disp_{which}_d)"
             )
 
-    # .. checker ..................................................................
-
-    def _emit_checker_handler(self, em: _Emitter, h: PlanHandler) -> None:
-        em.emit(f"def _h_{h.index}({self._handler_params()}):")
-        em.indent += 1
-        if _has_loop_ops(h):
-            # Only handlers with producer loops charge per item; the
-            # budget probe is scoped to them so straightline handlers
-            # stay probe-free.
-            if self.fast:
-                em.emit("_bud = None")
-            else:
-                em.emit("_bud = _ctx.caches.get('derive_budget')")
-        em.emit("_inc = False")
-        self._emit_checker_ops(em, h.ops, 0, depth=0)
-        em.emit("return NONE_OB if _inc else SOME_FALSE")
-        em.indent -= 1
-
-    def _emit_checker_ops(self, em: _Emitter, ops: tuple, i: int, depth: int) -> None:
-        fail = "return SOME_FALSE" if depth == 0 else "continue"
-        n = len(ops)
-        while i < n:
-            op = ops[i]
-            tag = op[0]
-            if tag == OP_EVAL:
-                em.emit(f"{self.slot(op[1])} = {self.expr(op[2])}")
-            elif tag in (OP_TESTCTOR, OP_TESTCONST, OP_TESTEQ):
-                self._emit_test(em, op, fail)
-            elif tag in (OP_CHECK, OP_RECCHECK):
-                r = f"_r{i}"
-                if tag == OP_RECCHECK:
-                    args = ", ".join(self.expr(e) for e in op[1])
-                    em.emit(f"{r} = rec(_size1, _top, {args})")
-                else:
-                    fn = self._bind_fn(
-                        f"_chk_{op[4]}", self.checker_fn(op[4])
-                    )
-                    em.emit(f"{r} = {fn}(_top, {self.args_tuple(op[2])})")
-                    if op[3]:
-                        em.emit(f"{r} = _negate({r})")
-                if depth == 0:
-                    # Straight-line `.&&`: None propagates as None.
-                    self._fail(em, f"{r} is NONE_OB", "return NONE_OB")
-                    self._fail(em, f"{r} is not SOME_TRUE", "return SOME_FALSE")
-                else:
-                    # Inside an enumeration loop: a None kills this
-                    # branch but taints the search (bindEC accounting).
-                    em.emit(f"if {r} is not SOME_TRUE:")
-                    em.indent += 1
-                    self._fail(em, f"{r} is NONE_OB", "_inc = True")
-                    em.emit(fail)
-                    em.indent -= 1
-            elif tag == OP_EVALREL:
-                # Functionalized premise (repro.analysis.determinacy):
-                # at most one answer exists, so commit to the first
-                # definite item and continue straightline.  The local
-                # incomplete flag mirrors the interpreter's — markers
-                # are moot once the answer is found, and without one
-                # they decide None vs definite-false for this op only.
-                item, got, inc = f"_it{i}", f"_g{i}", f"_ic{i}"
-                assert not op[5]  # the transform skips recursive ops
-                ev = self.eval_twin(op[6], op[7]) if self.fast else None
-                if ev is not None:
-                    # The premise carries a direct-eval twin: one call,
-                    # no producer loop.  OUT_OF_FUEL absorbs every
-                    # marker the loop form would have tallied; FAIL is
-                    # the loop's complete-and-empty exit.
-                    fn = self._bind_fn(f"_ev_{op[6]}", ev)
-                    args = ", ".join(self.expr(e) for e in op[3])
-                    em.emit(f"{got} = {self.eval_call(fn, args)}")
-                    em.emit(f"if {got} is OUT_OF_FUEL or {got} is FAIL:")
-                    em.indent += 1
-                    if depth == 0:
-                        em.emit(
-                            f"return NONE_OB if {got} is OUT_OF_FUEL"
-                            " else SOME_FALSE"
-                        )
-                    else:
-                        self._fail(
-                            em, f"{got} is OUT_OF_FUEL", "_inc = True"
-                        )
-                        em.emit(fail)
-                    em.indent -= 1
-                    for k, dst in enumerate(op[4]):
-                        em.emit(f"{self.slot(dst)} = {got}[{k}]")
-                    i += 1
-                    continue
-                fn = self._bind_fn(
-                    f"_enum_{op[6]}", self.producer_fn(op[6], op[7])
-                )
-                em.emit(f"{got} = None")
-                em.emit(f"{inc} = False")
-                em.emit(f"for {item} in {fn}(_top, {self.args_tuple(op[3])}):")
-                em.indent += 1
-                self._emit_loop_charge(em, f"{inc} = True", "break")
-                em.emit(f"if {item} is OUT_OF_FUEL or {item} is FAIL:")
-                em.indent += 1
-                em.emit(f"{inc} = True")
-                em.emit("continue")
-                em.indent -= 1
-                em.emit(f"{got} = {item}")
-                em.emit("break")
-                em.indent -= 1
-                em.emit(f"if {got} is None:")
-                em.indent += 1
-                if depth == 0:
-                    em.emit(f"return NONE_OB if {inc} else SOME_FALSE")
-                else:
-                    self._fail(em, inc, "_inc = True")
-                    em.emit(fail)
-                em.indent -= 1
-                if not self.fast:
-                    em.emit("_st = _ctx.caches.get('derive_stats')")
-                    em.emit("if _st is not None:")
-                    em.indent += 1
-                    em.emit("_st.functionalized_calls += 1")
-                    em.indent -= 1
-                for k, dst in enumerate(op[4]):
-                    em.emit(f"{self.slot(dst)} = {got}[{k}]")
-            elif tag == OP_PRODUCE:
-                item = f"_it{i}"
-                assert not op[5]  # checker schedules: external only
-                fn = self._bind_fn(
-                    f"_enum_{op[6]}", self.producer_fn(op[6], op[7])
-                )
-                em.emit(f"for {item} in {fn}(_top, {self.args_tuple(op[3])}):")
-                em.indent += 1
-                self._emit_loop_charge(em, "_inc = True", "break")
-                em.emit(f"if {item} is OUT_OF_FUEL or {item} is FAIL:")
-                em.indent += 1
-                em.emit("_inc = True")
-                em.emit("continue")
-                em.indent -= 1
-                for k, dst in enumerate(op[4]):
-                    em.emit(f"{self.slot(dst)} = {item}[{k}]")
-                self._emit_checker_ops(em, ops, i + 1, depth + 1)
-                em.indent -= 1
-                return
-            else:  # OP_INSTANTIATE
-                item = self.slot(op[1])
-                enum_fn = self._bind_global(
-                    "_arb", _make_arbitrary_enum(self.ctx, op[2])
-                )
-                em.emit(f"for {item} in {enum_fn}(_top):")
-                em.indent += 1
-                em.emit(f"if {item} is OUT_OF_FUEL:")
-                em.indent += 1
-                em.emit("_inc = True")
-                em.emit("continue")
-                em.indent -= 1
-                # Charge after the marker test: the interpreter's
-                # instantiate loop sees raw values only (the fuel
-                # marker lives outside its stream), so charging the
-                # marker here would desynchronize the op streams.
-                self._emit_loop_charge(em, "_inc = True", "break")
-                self._emit_checker_ops(em, ops, i + 1, depth + 1)
-                em.indent -= 1
-                return
-            i += 1
-        em.emit("return SOME_TRUE")
-
     def _emit_loop_charge(self, em: _Emitter, *stmts: str) -> None:
         """One ``charge(1)`` at a producer-loop top — the compiled twin
         of the interpreters' per-item charge, same site, same order."""
@@ -611,8 +459,9 @@ class _PlanCompiler:
                 em.emit("yield OUT_OF_FUEL")
                 em.emit("continue")
                 em.indent -= 1
-                # After the marker test — see the checker twin above —
-                # and ``break`` for the same reason as OP_PRODUCE.
+                # After the marker test — see the checker walker's
+                # OP_INSTANTIATE — and ``break`` for the same reason as
+                # OP_PRODUCE.
                 self._emit_loop_charge(em, "yield OUT_OF_FUEL", "break")
                 self._emit_enum_ops(em, h, ops, i + 1, depth + 1)
                 em.indent -= 1
@@ -1124,7 +973,7 @@ def _has_loop_ops(h: PlanHandler) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Term-representation specialization (checker kind only).
+# Checker emission: one op walker over term representations.
 # ---------------------------------------------------------------------------
 
 class _SpecUnsupported(Exception):
@@ -1134,34 +983,54 @@ class _SpecUnsupported(Exception):
 
 
 class _SpecPlanCompiler(_PlanCompiler):
-    """The checker compiler with term-representation specialization.
+    """The checker compiler: one op walker for every checker fixpoint.
 
-    Emits the same handler/dispatch/fixpoint structure as the base
-    compiler — op for op, with identical budget charge sites, trace
-    record sites, and observe spans — but runs known datatypes in
-    native representations (:mod:`repro.derive.specialize`): ``nat``
-    slots are Python ints, ``list`` slots are nested pairs, and ground
-    constants are interned.  Reprs are tracked per slot during
-    emission; every specialized/boxed boundary (external calls into
-    unspecialized siblings, function impls, producer loops) boxes with
-    total coercions, so the only partial coercions are the statically
-    type-directed eager unboxes at ``TESTCTOR`` projections — those
-    raise :class:`~repro.derive.specialize.SpecCoercionError`, which
-    the entry wrapper catches by re-running the boxed twin.
+    Emits the handler/dispatch/fixpoint structure of the base compiler
+    — op for op, with identical budget charge sites, trace record
+    sites, and observe spans — over slots whose representation is
+    tracked during emission (:mod:`repro.derive.specialize`): ``nat``
+    slots may be Python ints, ``list`` slots nested pairs, and ground
+    constants are interned.  Every specialized/boxed boundary (external
+    calls into unspecialized siblings, function impls, producer loops)
+    boxes with total coercions.
+
+    Three compile sites in :func:`compile_checker` fix the reprs:
+
+    * ``info=None`` — the boxed ``rec``, the all-``BOX`` case: every
+      slot stays a :class:`Value` and premises are called through
+      their public entry.  It is total, so it serves as the coercion
+      fallback of the other two;
+    * ``info`` with ``fast=False`` — the instrumented twin
+      (``__spec_rec__``): native entry reprs, premises bound to the
+      callee's instrumented twin where reprs agree.  It converts
+      nothing partially, so once the entry coercion succeeded it
+      cannot raise and re-running ``rec`` never follows an opened span
+      or a charged op;
+    * ``info`` with ``fast=True`` — the uninstrumented twin
+      (``__spec_fast__``): additionally eagerly unboxes ``nat``
+      components at ``TESTCTOR`` projections (statically
+      type-directed, partial: an ill-typed value raises
+      :class:`~repro.derive.specialize.SpecCoercionError`, which the
+      entry wrapper catches by re-running ``rec``), omits every
+      trace/observe/budget site, inlines straight-line handlers into
+      the dispatch, and turns final-position recursion into a jump.
     """
 
     def __init__(
         self, ctx: Context, plan: Plan, info, boxed_rec, fast: bool = False
     ) -> None:
-        super().__init__(ctx, plan, "checker")
-        self.info = info
         # fast=True emits the instrumentation-free twin: every
         # trace/observe/budget site is omitted instead of guarded.
         # Those sites are no-ops whenever the corresponding cache entry
         # is absent, so the twin is observationally identical on
         # uninstrumented contexts — and the entry wrapper only selects
         # it in exactly that state.
-        self.fast = fast
+        super().__init__(ctx, plan, "checker", fast)
+        self.all_box = info is None
+        if info is None:
+            n = len(plan.mode.ins)
+            info = specialize.SpecInfo((specialize.BOX,) * n, (None,) * n)
+        self.info = info
         self.globals["_rbox"] = boxed_rec
         self.globals["_box_nat"] = specialize.box_nat
         self.globals["_unbox_nat"] = specialize.unbox_nat
@@ -1172,11 +1041,6 @@ class _SpecPlanCompiler(_PlanCompiler):
         self._inline_fail = "break"
         self._tail_ok = False
         self._branch_key = None
-        # Cross-relation inlining (fast twin only): per-site prefix
-        # counter and a per-relation eligibility cache (None = not
-        # inlinable, else (plan, info, fast_fn) of the premise).
-        self._inline_n = 0
-        self._inline_cache: dict[str, Any] = {}
 
     # .. repr helpers ............................................................
 
@@ -1231,7 +1095,10 @@ class _SpecPlanCompiler(_PlanCompiler):
         """Compile an expression; returns ``(code, repr)``.  Constants
         (and nat/list constructor applications) adapt to *hint* when
         they can; everything else reports its natural repr and the
-        caller coerces with a total boxer if needed."""
+        caller coerces with a total boxer if needed.  The all-``BOX``
+        compiler adapts everything to ``BOX``."""
+        if hint is None and self.all_box:
+            hint = specialize.BOX
         tag = e[0]
         if tag == X_SLOT:
             return self.slot(e[1]), self._srepr.get(e[1], specialize.BOX)
@@ -1391,16 +1258,18 @@ class _SpecPlanCompiler(_PlanCompiler):
             else:
                 raise _SpecUnsupported(f"constructor {ctor!r} on a list slot")
             return
-        # Boxed source: the standard head test, plus eager unboxing of
-        # nat components (the handwritten checkers' ``to_int`` move —
-        # partial, but statically type-directed, and any failure on an
-        # ill-typed value unwinds to the entry's boxed fallback).
+        # Boxed source: the standard head test.  The fast twin also
+        # eagerly unboxes nat components (the handwritten checkers'
+        # ``to_int`` move — partial, but statically type-directed, and
+        # any failure on an ill-typed value unwinds to the entry's
+        # boxed fallback).  The instrumented twins keep them boxed: an
+        # unwind there would follow an opened span and charged ops.
         if not known:
             self._fail(em, f"{sname}.ctor != {ctor!r}", fail)
         comp_types = self._component_types(src, ctor)
         for k, dst in enumerate(dsts):
             ty = comp_types[k] if comp_types is not None else None
-            if isinstance(ty, Ty) and ty.name == "nat":
+            if self.fast and isinstance(ty, Ty) and ty.name == "nat":
                 em.emit(f"{self.slot(dst)} = _unbox_nat({sname}.args[{k}])")
                 self._srepr[dst] = specialize.NAT
             else:
@@ -1445,9 +1314,13 @@ class _SpecPlanCompiler(_PlanCompiler):
         return f"_rbox(_size1, _top, {boxed})"
 
     def _check_call(self, op: tuple) -> str:
+        """A premise call: the callee's matching twin, bound directly
+        when every argument already sits in its entry repr (``lt``
+        inside ``bst`` is then one call on ints), else its public
+        entry.  The boxed ``rec`` always takes the public entry."""
         fn = self.checker_fn(op[4])
         attr = "__spec_fast__" if self.fast else "__spec_rec__"
-        srec = getattr(fn, attr, None)
+        srec = None if self.all_box else getattr(fn, attr, None)
         wanted = getattr(fn, "__spec_reprs__", None)
         if srec is not None and wanted is not None and len(op[2]) == len(wanted):
             parts = []
@@ -1470,11 +1343,13 @@ class _SpecPlanCompiler(_PlanCompiler):
         self._srepr = dict(enumerate(self.info.entry_reprs))
         self._stype = dict(enumerate(self.info.entry_types))
         assert len(mode_ins) == len(self.info.entry_reprs)
-        if not self.fast:
-            super()._emit_checker_handler(em, h)
-            return
         em.emit(f"def _h_{h.index}({self._handler_params()}):")
         em.indent += 1
+        if _has_loop_ops(h) and not self.fast:
+            # Only handlers with producer loops charge per item; the
+            # budget probe is scoped to them so straightline handlers
+            # stay probe-free.
+            em.emit("_bud = _ctx.caches.get('derive_budget')")
         em.emit("_inc = False")
         self._emit_checker_ops(em, h.ops, 0, depth=0)
         em.emit("return NONE_OB if _inc else SOME_FALSE")
@@ -1654,8 +1529,6 @@ class _SpecPlanCompiler(_PlanCompiler):
                 r = f"_r{i}"
                 if tag == OP_RECCHECK:
                     em.emit(f"{r} = {self._rec_call(op[1])}")
-                elif self.fast and self._try_inline_check(em, op, r):
-                    pass  # premise spliced inline; r holds its verdict
                 else:
                     em.emit(f"{r} = {self._check_call(op)}")
                     if op[3]:
@@ -1667,34 +1540,41 @@ class _SpecPlanCompiler(_PlanCompiler):
                     em.emit(fail)
                     em.indent -= 1
                 elif depth == 0:
+                    # Straight-line `.&&`: None propagates as None.
                     self._fail(em, f"{r} is NONE_OB", "return NONE_OB")
                     self._fail(em, f"{r} is not SOME_TRUE", "return SOME_FALSE")
                 else:
+                    # Inside an enumeration loop: a None kills this
+                    # branch but taints the search (bindEC accounting).
                     em.emit(f"if {r} is not SOME_TRUE:")
                     em.indent += 1
                     self._fail(em, f"{r} is NONE_OB", "_inc = True")
                     em.emit(fail)
                     em.indent -= 1
             elif tag == OP_EVALREL:
-                # Functionalized premise — see the boxed twin: first
-                # definite item commits, straightline continuation.
+                # Functionalized premise (repro.analysis.determinacy):
+                # at most one answer exists, so commit to the first
+                # definite item and continue straightline.  The local
+                # incomplete flag mirrors the interpreter's — markers
+                # are moot once the answer is found, and without one
+                # they decide None vs definite-false for this op only.
+                # Loop ops keep their handler out of the inlined
+                # dispatch, so this op never runs inline.
                 item, got, inc = f"_it{i}", f"_g{i}", f"_ic{i}"
                 assert not op[5]  # the transform skips recursive ops
                 ev = self.eval_twin(op[6], op[7]) if self.fast else None
                 if ev is not None:
-                    # Direct-eval call — see the boxed twin.  Outputs
+                    # The premise carries a direct-eval twin: one call,
+                    # no producer loop.  OUT_OF_FUEL absorbs every
+                    # marker the loop form would have tallied; FAIL is
+                    # the loop's complete-and-empty exit.  Outputs
                     # arrive boxed, as from the enumerator.
                     fn = self._bind_fn(f"_ev_{op[6]}", ev)
                     args = ", ".join(self.boxed(e) for e in op[3])
                     em.emit(f"{got} = {self.eval_call(fn, args)}")
                     em.emit(f"if {got} is OUT_OF_FUEL or {got} is FAIL:")
                     em.indent += 1
-                    if inline:
-                        self._fail(
-                            em, f"{got} is OUT_OF_FUEL", "_none = True"
-                        )
-                        em.emit(fail)
-                    elif depth == 0:
+                    if depth == 0:
                         em.emit(
                             f"return NONE_OB if {got} is OUT_OF_FUEL"
                             " else SOME_FALSE"
@@ -1705,13 +1585,7 @@ class _SpecPlanCompiler(_PlanCompiler):
                         )
                         em.emit(fail)
                     em.indent -= 1
-                    out_types = self._produce_out_types(op)
-                    for k, dst in enumerate(op[4]):
-                        em.emit(f"{self.slot(dst)} = {got}[{k}]")
-                        self._srepr[dst] = specialize.BOX
-                        self._stype[dst] = (
-                            out_types[k] if out_types is not None else None
-                        )
+                    self._emit_outs(em, op, got)
                     i += 1
                     continue
                 fn = self._bind_fn(
@@ -1744,13 +1618,7 @@ class _SpecPlanCompiler(_PlanCompiler):
                     em.indent += 1
                     em.emit("_st.functionalized_calls += 1")
                     em.indent -= 1
-                out_types = self._produce_out_types(op)
-                for k, dst in enumerate(op[4]):
-                    em.emit(f"{self.slot(dst)} = {got}[{k}]")
-                    self._srepr[dst] = specialize.BOX
-                    self._stype[dst] = (
-                        out_types[k] if out_types is not None else None
-                    )
+                self._emit_outs(em, op, got)
             elif tag == OP_PRODUCE:
                 item = f"_it{i}"
                 assert not op[5]  # checker schedules: external only
@@ -1765,13 +1633,7 @@ class _SpecPlanCompiler(_PlanCompiler):
                 em.emit("_inc = True")
                 em.emit("continue")
                 em.indent -= 1
-                out_types = self._produce_out_types(op)
-                for k, dst in enumerate(op[4]):
-                    em.emit(f"{self.slot(dst)} = {item}[{k}]")
-                    self._srepr[dst] = specialize.BOX
-                    self._stype[dst] = (
-                        out_types[k] if out_types is not None else None
-                    )
+                self._emit_outs(em, op, item)
                 self._emit_checker_ops(em, ops, i + 1, depth + 1)
                 em.indent -= 1
                 return
@@ -1789,13 +1651,25 @@ class _SpecPlanCompiler(_PlanCompiler):
                 em.emit("_inc = True")
                 em.emit("continue")
                 em.indent -= 1
-                # Charge after the marker test — see the boxed twin.
+                # Charge after the marker test: the interpreter's
+                # instantiate loop sees raw values only (the fuel
+                # marker lives outside its stream), so charging the
+                # marker here would desynchronize the op streams.
                 self._emit_loop_charge(em, "_inc = True", "break")
                 self._emit_checker_ops(em, ops, i + 1, depth + 1)
                 em.indent -= 1
                 return
             i += 1
         em.emit("return SOME_TRUE")
+
+    def _emit_outs(self, em: _Emitter, op: tuple, src: str) -> None:
+        """Bind a producer call's outputs, which arrive boxed, from
+        answer tuple *src*."""
+        types = self._produce_out_types(op) or (None,) * len(op[4])
+        for k, dst in enumerate(op[4]):
+            em.emit(f"{self.slot(dst)} = {src}[{k}]")
+            self._srepr[dst] = specialize.BOX
+            self._stype[dst] = types[k]
 
     def _produce_out_types(self, op: tuple):
         """Output types of a producer call (for downstream projection
@@ -1826,315 +1700,6 @@ class _SpecPlanCompiler(_PlanCompiler):
         else:
             key = f"{scrut}.ctor"
         em.emit(f"_hs = _disp_{which}.get({key}, _disp_{which}_d)")
-
-    # .. cross-relation inlining (fast twin) .....................................
-
-    def _premise_plan(self, rel: str):
-        """Eligibility of *rel* for inline splicing: its checker must
-        be a compiled specialized artifact, the determinacy analysis
-        must prove its checker mode ``det`` (every rule loop-free, so
-        the whole fixpoint is a straightline tail loop), and every
-        lowered op must be in the subset the splicer emits.  Returns
-        ``(plan, info, fast_fn)`` or ``None``; memoized per relation."""
-        cached = self._inline_cache.get(rel, False)
-        if cached is not False:
-            return cached
-        self._inline_cache[rel] = None
-        from .plan import functionalization_enabled
-
-        if rel == self.plan.rel or not functionalization_enabled(self.ctx):
-            return None
-        fn = self.checker_fn(rel)
-        pplan = getattr(fn, "__spec_plan__", None)
-        pinfo = getattr(fn, "__spec_info__", None)
-        pfast = getattr(fn, "__spec_fast__", None)
-        if pplan is None or pinfo is None or pfast is None:
-            return None
-        from ..analysis.determinacy import Verdict, relation_verdict
-        from ..core.errors import ReproError
-        from .modes import Mode
-
-        try:
-            arity = self.ctx.relations.get(rel).arity
-            verdict = relation_verdict(self.ctx, rel, Mode.checker(arity))
-        except ReproError:
-            return None
-        if verdict is not Verdict.DET:
-            return None
-        for h in pplan.handlers:
-            for o in h.ops:
-                t = o[0]
-                if t in (OP_EVAL, OP_TESTCTOR, OP_TESTCONST, OP_TESTEQ,
-                         OP_CHECK):
-                    continue
-                if t == OP_RECCHECK and o[2] is None:
-                    continue
-                return None  # group recursion / producer loops: call
-        out = (pplan, pinfo, pfast)
-        self._inline_cache[rel] = out
-        return out
-
-    def _try_inline_check(self, em: _Emitter, op: tuple, res: str) -> bool:
-        """Splice a ``det`` premise checker's specialized dispatch and
-        handler bodies into the current (fast-twin) function body,
-        eliminating the per-call frame.  The splice replicates the
-        premise's own fast fixpoint — size branch, head dispatch, tail
-        recursion as iteration — with all locals carrying a per-site
-        prefix, and leaves the three-valued verdict in *res*.  Legal
-        only in the fast twin: that twin runs exactly when no
-        budget/trace/observe is installed, so the premise's (omitted)
-        charge and span sites are no-ops there by construction.
-
-        Returns False (emitting nothing) on any unsupported feature;
-        the caller then falls back to :meth:`_check_call`."""
-        if op[3]:  # negated premise: keep the call form
-            return False
-        found = self._premise_plan(op[4])
-        if found is None:
-            return False
-        pplan, pinfo, pfast = found
-        if len(op[2]) != len(pinfo.entry_reprs):
-            return False
-        # Caller-side argument expressions, required to already sit in
-        # the premise's entry reprs (same precondition as the direct
-        # specialized call in _check_call).
-        seeds = []
-        for e, w in zip(op[2], pinfo.entry_reprs):
-            code, r = self.sexpr(e, hint=w)
-            if r != w:
-                return False
-            seeds.append(code)
-        self._inline_n += 1
-        pfx = f"_p{self._inline_n}"
-        inner = _PremiseCompiler(self, pplan, pinfo, pfx, pfast)
-        tmp = _Emitter()
-        tmp.indent = em.indent
-        try:
-            self._emit_premise(tmp, inner, pfx, seeds, res)
-        except _SpecUnsupported:
-            return False
-        em.lines.extend(tmp.lines)
-        st = self.ctx.caches.get("derive_stats")
-        if st is not None:
-            st.inlined_frames += 1
-        return True
-
-    def _emit_premise(self, em, inner, pfx: str, seeds: list, res: str):
-        """The premise fixpoint as a nested loop.  Structure mirrors
-        the premise's own ``rec`` (see :meth:`_emit_top`), with returns
-        replaced by result assignment: success sets *res* and breaks, a
-        tail-recursive jump sets the ``_t`` flag and breaks (the loop
-        bottom turns it into ``continue``), and falling out exhausted
-        computes the ``None``/``False`` verdict from the ``_none``
-        accumulator."""
-        pplan = inner.plan
-        if seeds:
-            targets = ", ".join(f"{pfx}_in{i}" for i in range(pplan.n_ins))
-            em.emit(f"{targets} = {', '.join(seeds)}")
-        em.emit(f"{pfx}_z = _top")
-        em.emit(f"{pfx}_none = False")
-        em.emit(f"{res} = None")
-        em.emit("while True:")
-        em.indent += 1
-        em.emit(f"{pfx}_t = False")
-        em.emit(f"if {pfx}_z == 0:")
-        em.indent += 1
-        em.emit(f"{pfx}_z1 = None")
-        if pplan.has_recursive:
-            em.emit(f"{pfx}_none = True")
-        self._emit_premise_dispatch(
-            em, inner, pfx, res, pplan.base, pplan.base_table,
-            pplan.base_default,
-        )
-        em.indent -= 1
-        em.emit("else:")
-        em.indent += 1
-        em.emit(f"{pfx}_z1 = {pfx}_z - 1")
-        self._emit_premise_dispatch(
-            em, inner, pfx, res, pplan.handlers, pplan.full_table,
-            pplan.full_default,
-        )
-        em.indent -= 1
-        em.emit(f"if {pfx}_t:")
-        em.indent += 1
-        em.emit("continue")
-        em.indent -= 1
-        em.emit("break")
-        em.indent -= 1
-        em.emit(f"if {res} is None:")
-        em.indent += 1
-        em.emit(f"{res} = NONE_OB if {pfx}_none else SOME_FALSE")
-        em.indent -= 1
-
-    def _emit_premise_dispatch(
-        self, em, inner, pfx: str, res: str, handlers, table, default
-    ) -> None:
-        pplan = inner.plan
-
-        def branch(key: str) -> None:
-            known = key if key in table else None
-            self._emit_premise_handlers(
-                em, inner, pfx, res, table.get(key, default), known
-            )
-
-        if pplan.dispatch_pos < 0:
-            self._emit_premise_handlers(em, inner, pfx, res, handlers, None)
-            return
-        p = pplan.dispatch_pos
-        r = inner.info.entry_reprs[p]
-        scrut = f"{pfx}_in{p}"
-        if r == specialize.NAT:
-            em.emit(f"if {scrut} > 0:")
-            em.indent += 1
-            branch("S")
-            em.indent -= 1
-            em.emit("else:")
-            em.indent += 1
-            branch("O")
-            em.indent -= 1
-        elif type(r) is tuple:
-            em.emit(f"if {scrut}:")
-            em.indent += 1
-            branch("cons")
-            em.indent -= 1
-            em.emit("else:")
-            em.indent += 1
-            branch("nil")
-            em.indent -= 1
-        else:
-            em.emit(f"{pfx}_c = {scrut}.ctor")
-            kw = "if"
-            for ctor in table:
-                em.emit(f"{kw} {pfx}_c == {ctor!r}:")
-                em.indent += 1
-                branch(ctor)
-                em.indent -= 1
-                kw = "elif"
-            em.emit("else:")
-            em.indent += 1
-            self._emit_premise_handlers(em, inner, pfx, res, default, None)
-            em.indent -= 1
-
-    def _emit_premise_handlers(
-        self, em, inner, pfx: str, res: str, handlers, key
-    ) -> None:
-        if not handlers:
-            em.emit("pass")
-            return
-        for idx, h in enumerate(handlers):
-            last = idx == len(handlers) - 1
-            if idx > 0:
-                em.emit(f"if {res} is None:")
-                em.indent += 1
-            inner._srepr = dict(enumerate(inner.info.entry_reprs))
-            inner._stype = dict(enumerate(inner.info.entry_types))
-            inner._inline = True
-            inner._branch_key = key
-            em.emit("while True:")
-            em.indent += 1
-            try:
-                self._emit_premise_ops(em, inner, pfx, res, h.ops, last)
-            finally:
-                inner._inline = False
-                inner._branch_key = None
-            em.indent -= 1
-            if idx > 0:
-                em.indent -= 1
-
-    def _emit_premise_ops(
-        self, em, inner, pfx: str, res: str, ops: tuple, last: bool
-    ) -> None:
-        """One premise handler body inside its single-iteration
-        ``while`` wrapper: every exit is a ``break`` (failure falls to
-        the next handler via the *res*-is-None guard; success assigns
-        first)."""
-        fail = "break"
-        n = len(ops)
-        for i, o in enumerate(ops):
-            t = o[0]
-            if t == OP_EVAL:
-                code, r = inner.sexpr(o[2])
-                em.emit(f"{inner.slot(o[1])} = {code}")
-                inner._srepr[o[1]] = r
-                inner._stype[o[1]] = inner._expr_type(o[2])
-            elif t in (OP_TESTCTOR, OP_TESTCONST, OP_TESTEQ):
-                inner._emit_test(em, o, fail)
-            elif t == OP_RECCHECK:
-                if (
-                    last
-                    and i == n - 1
-                    and self._emit_premise_tail(em, inner, pfx, o[1])
-                ):
-                    return
-                # Non-tail self-recursion: call the premise's own fast
-                # twin at the decremented size (what its rec would do).
-                parts = []
-                for e, w in zip(o[1], inner.info.entry_reprs):
-                    code, r = inner.sexpr(e, hint=w)
-                    if r != w:
-                        raise _SpecUnsupported("inline rec repr mismatch")
-                    parts.append(code)
-                f = self._bind_fn(f"_spchk_{inner.plan.rel}", inner.fast_fn)
-                rv = f"{pfx}_r{i}"
-                em.emit(f"{rv} = {f}({pfx}_z1, _top, {', '.join(parts)})")
-                em.emit(f"if {rv} is not SOME_TRUE:")
-                em.indent += 1
-                em.emit(f"if {rv} is NONE_OB: {pfx}_none = True")
-                em.emit(fail)
-                em.indent -= 1
-            else:  # OP_CHECK: the premise's own external premise
-                rv = f"{pfx}_r{i}"
-                em.emit(f"{rv} = {inner._check_call(o)}")
-                if o[3]:
-                    em.emit(f"{rv} = _negate({rv})")
-                em.emit(f"if {rv} is not SOME_TRUE:")
-                em.indent += 1
-                em.emit(f"if {rv} is NONE_OB: {pfx}_none = True")
-                em.emit(fail)
-                em.indent -= 1
-        em.emit(f"{res} = SOME_TRUE")
-        em.emit("break")
-
-    def _emit_premise_tail(self, em, inner, pfx: str, exprs: tuple) -> bool:
-        """A final-position self-recursive premise call as an iteration
-        of the spliced loop; legal only when every argument already
-        sits in its entry repr (else the caller emits a call)."""
-        parts = []
-        for e, w in zip(exprs, inner.info.entry_reprs):
-            code, r = inner.sexpr(e, hint=w)
-            if r != w:
-                return False
-            parts.append(code)
-        em.emit(f"{pfx}_z = {pfx}_z1")
-        if parts:
-            targets = ", ".join(
-                f"{pfx}_in{i}" for i in range(inner.plan.n_ins)
-            )
-            em.emit(f"{targets} = {', '.join(parts)}")
-        em.emit(f"{pfx}_t = True")
-        em.emit("break")
-        return True
-
-
-class _PremiseCompiler(_SpecPlanCompiler):
-    """Expression/test emitter for a premise plan spliced into a host
-    compiler's function body: slot names carry a per-site prefix, and
-    all name binding is delegated to the host so the spliced lines
-    resolve in the host's exec namespace."""
-
-    def __init__(self, host, plan, info, prefix: str, fast_fn) -> None:
-        super().__init__(host.ctx, plan, info, None, fast=True)
-        self.prefix = prefix
-        self.fast_fn = fast_fn
-        self.globals = host.globals
-        self._bind_global = host._bind_global  # shares name uniquing
-        self._fn_cache = host._fn_cache
-        self._const_cache = host._const_cache
-        self._coercers = host._coercers
-
-    def slot(self, i: int) -> str:
-        base = f"_in{i}" if i < self.plan.n_ins else f"_s{i}"
-        return self.prefix + base
 
 
 def _make_arbitrary_enum(ctx: Context, ty: TypeExpr):
@@ -2173,16 +1738,18 @@ def compile_checker(ctx: Context, schedule: Schedule):
     """Compile a checker schedule to ``fn(fuel, args) -> OptionBool``
     (the internal instance convention).
 
-    When :func:`repro.derive.specialize.spec_info` approves the plan, a
-    second, representation-specialized fixpoint is compiled alongside
-    the boxed one and fronted by unboxing coercions at the entry; an
-    ill-typed argument (``SpecCoercionError``) falls back to the boxed
-    twin, so the public behaviour is representation-independent.  The
+    All three fixpoints come from one walker (:class:`_SpecPlanCompiler`)
+    with the representation fixed here: the boxed ``rec`` always; and,
+    when :func:`repro.derive.specialize.spec_info` approves the plan, an
+    instrumented and a fast representation-specialized twin fronted by
+    unboxing coercions at the entry.  An ill-typed argument
+    (``SpecCoercionError``) falls back to the boxed ``rec``, so the
+    public behaviour is representation-independent.  The
     returned callable always carries ``__batch__`` — the amortized
     entry point that coerces/dispatches once per argument vector.
     """
     plan = lower_schedule(ctx, schedule)
-    rec = _PlanCompiler(ctx, plan, "checker").compile()
+    rec = _SpecPlanCompiler(ctx, plan, info=None, boxed_rec=None).compile()
     info = specialize.spec_info(ctx, plan)
     spec = fast = None
     if info is not None:
@@ -2273,6 +1840,8 @@ def compile_checker(ctx: Context, schedule: Schedule):
         check.__spec_rec__ = spec
         check.__spec_fast__ = fast
         check.__spec_reprs__ = info.entry_reprs
+        # Plan and reprs stay readable for the frozen emitter copies
+        # under benchmarks/legacy, whose baselines splice premises.
         check.__spec_plan__ = plan
         check.__spec_info__ = info
         check.__spec_source__ = spec.__derived_source__

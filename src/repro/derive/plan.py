@@ -550,8 +550,8 @@ FUNC_FLAG = "derive_functionalize"
 
 
 def functionalization_enabled(ctx: Context) -> bool:
-    """Is determinacy-driven functionalization (and the codegen
-    cross-relation inlining it licenses) on for *ctx*?  Off globally
+    """Is determinacy-driven functionalization (and the direct-eval
+    twins it licenses) on for *ctx*?  Off globally
     under ``REPRO_NO_FUNCTIONALIZE=1``; per context via
     :func:`disable_functionalization`.  The flag is read at plan
     lowering / compile time — flip it before deriving instances."""

@@ -34,9 +34,11 @@ differential suite):
   :class:`SpecCoercionError`, and the compiled entry point falls back
   to the boxed twin (which is always compiled alongside), so verdicts
   never depend on specialization;
-* all boxing directions are total, so no coercion inside the
+* all boxing directions are total, so no coercion inside a
   specialized fixpoint can fail except the statically type-directed
-  eager unboxes, which unwind to the same entry fallback.
+  eager unboxes of the uninstrumented fast twin, which unwind to the
+  same entry fallback.  The instrumented twin does not unbox eagerly:
+  it fails only at its entry, before it records anything.
 
 The pass is on by default; ``disable_specialization(ctx)`` or the
 ``REPRO_NO_SPECIALIZE`` environment variable turn it off (existing

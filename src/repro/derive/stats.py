@@ -40,7 +40,6 @@ COUNTERS = (
     ("tainted_memo_skips", "memo writes skipped (exhaustion taint)"),
     ("cache_evictions", "memo entries evicted (cache-size cap)"),
     ("functionalized_calls", "functionalized premise evaluations (OP_EVALREL)"),
-    ("inlined_frames", "premise call sites inlined by codegen (per compile)"),
 )
 
 

@@ -105,9 +105,8 @@ class DeriveTrace:
         corpora runs, where the full table runs to hundreds of rows.
         *stats* (a :class:`~repro.derive.stats.DeriveStats`, e.g. the
         one :func:`profile` installs) appends a footer with the
-        transform counters the per-handler rows cannot show: premise
-        evaluations functionalized away and call frames inlined by
-        codegen.
+        transform counter the per-handler rows cannot show: premise
+        evaluations functionalized away.
         """
         rows = sorted(
             self.entries.items(), key=lambda kv: -kv[1][ATTEMPTS]
@@ -145,18 +144,15 @@ class DeriveTrace:
     def _stats_footer(stats) -> list[str]:
         """Transform-counter footer lines (empty without *stats*).
 
-        These counters live on :class:`DeriveStats`, not in the
+        The counter lives on :class:`DeriveStats`, not in the
         per-handler table: a functionalized premise never reaches a
-        handler (that is the point), and an inlined frame is a
-        compile-time event with no runtime key to file it under.
+        handler (that is the point).
         """
         if stats is None:
             return []
         return [
             f"  functionalized premise evaluations: "
             f"{stats.functionalized_calls:,}",
-            f"  inlined premise frames (compile-time): "
-            f"{stats.inlined_frames:,}",
         ]
 
     def __repr__(self) -> str:

@@ -190,6 +190,44 @@ class TestTwinAgreement:
         weird = (V("true"), from_int(2))
         assert compiled(5, weird) is interp(5, weird)
 
+    def test_ill_typed_term_keeps_instrumentation_identical(self):
+        """A non-nat key inside a BST node passes the entry coercion
+        (the tree stays boxed), so only the instrumented twin meets it.
+        Spans and budget ops must match the interpreter's exactly: the
+        instrumented twin may not fail after opening a span or charging
+        an op and leave the boxed re-run to record it all again."""
+        from repro.casestudies import bst
+        from repro.observe import observe
+        from repro.resilience import budget_scope
+
+        ctx = bst.make_context()
+        interp = resolve(ctx, CHECKER, "bst", Mode.checker(3)).fn
+        compiled = resolve_compiled(ctx, CHECKER, "bst", Mode.checker(3))
+        args = (from_int(0), from_int(9), V("Node", V("Leaf"), V("true"), V("Leaf")))
+        assert compiled(6, args) is interp(6, args)
+        spans = []
+        ops = []
+        for fn in (interp, compiled):
+            with observe(ctx) as obs:
+                fn(6, args)
+            spans.append(obs.spans.identities())
+            with budget_scope(ctx, max_ops=10_000) as bud:
+                fn(6, args)
+            ops.append(bud.ops)
+        assert spans[0] and spans[1] == spans[0]
+        assert ops[1] == ops[0]
+
+    def test_premise_calls_bind_the_callees_fast_twin(self):
+        """DESIGN §4.7: where argument reprs agree, a premise call binds
+        the callee's matching twin directly — ``lt`` inside ``bst``'s
+        fast twin is one call on ints, not a spliced copy of ``lt``."""
+        from repro.casestudies import bst
+
+        ctx = bst.make_context()
+        fn = resolve_compiled(ctx, CHECKER, "bst", Mode.checker(3))
+        lt = resolve_compiled(ctx, CHECKER, "lt", Mode.checker(2))
+        assert lt.__spec_fast__ in fn.__spec_fast__.__globals__.values()
+
 
 # ---------------------------------------------------------------------------
 # Canonical memo keys.

@@ -127,10 +127,8 @@ class TestReporting:
             le(10, from_int(2), from_int(5))
         stats = DeriveStats()
         stats.functionalized_calls = 3
-        stats.inlined_frames = 2
         text = tr.report(stats=stats)
         assert "functionalized premise evaluations: 3" in text
-        assert "inlined premise frames (compile-time): 2" in text
         # Footer also decorates the empty report, and is absent
         # without a stats object.
         assert "functionalized" in DeriveTrace().report(stats=stats)

@@ -89,11 +89,9 @@ class TestMetrics:
         m = Metrics()
         stats = DeriveStats()
         stats.functionalized_calls += 2
-        stats.inlined_frames += 1
         m.bind_stats(stats)
         snap = m.counter_snapshot()
         assert snap["stats.functionalized_calls"] == 2
-        assert snap["stats.inlined_frames"] == 1
 
     def test_as_dict_sections(self):
         m = Metrics()
