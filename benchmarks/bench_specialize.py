@@ -22,6 +22,12 @@ Measures the term-representation specialization pass
   enumerate-then-check to direct type inference; bar: **>= 1.5x**.
   Plus the mirror-image no-regression guard: pass *off* (both
   contexts) vs the frozen PR-6 emitter, **<= 1.05x**.
+* **generator twin vs boxed** — the derived ``bst iio`` generator at
+  the Figure-3 bounds and fuel, its representation-specialized twin
+  (pass on) against the boxed fast twin (pass off), in interleaved
+  same-process pairs; bar: **>= 1.3x** median per-pair ratio.  The
+  ratio, its IQR and the bar-to-IQR margin go to
+  ``BENCH_specialize.json``.
 * **Figure 3 deltas** — derived vs handwritten checker throughput per
   case study (BST / STLC / IFC), printed for the EXPERIMENTS.md
   table; reported, not barred (the residual gaps are analyzed there).
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 import os
 import random
+import statistics
 import sys
 import time
 
@@ -58,8 +65,10 @@ from repro.casestudies import bst, ifc, stlc
 from repro.core.values import from_int
 from repro.derive import Mode, build_schedule, disable_functionalization
 from repro.derive.codegen import compile_checker as live_compile_checker
-from repro.derive.instances import CHECKER, resolve_compiled
+from repro.derive.instances import CHECKER, GEN, resolve_compiled
 from repro.derive.specialize import disable_specialization
+
+from benchmarks.benchjson import record
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
@@ -73,6 +82,18 @@ REPEATS = 2 if QUICK else 5
 SPEC_BAR = 1.0 if QUICK else 2.0
 LEGACY_BAR = 3.0 if QUICK else 1.05
 FUNC_BAR = 1.0 if QUICK else 1.5
+GEN_BAR = 1.0 if QUICK else 1.3
+
+# Generator A/B: GEN_PAIRS pairs of GEN_CHUNKS x GEN_CALLS trees per
+# side, at the Figure-3 BST bounds (BstWorkload: keys strictly inside
+# 0..16) and fuel (BstWorkload.property_fn's default).  Within a pair
+# the sides alternate chunk by chunk, so a burst of load on the shared
+# machine lands on both sides instead of widening the IQR.
+GEN_PAIRS = 5 if QUICK else 21
+GEN_CHUNKS = 2 if QUICK else 6
+GEN_CALLS = 30 if QUICK else 50
+GEN_FUEL = 10
+GEN_SEED = 1
 
 
 def _timed(fn, repeats: int = REPEATS) -> float:
@@ -237,6 +258,66 @@ def bench_disabled_vs_pr6(wl: Workload):
     return _timed2(lambda: wl.loop(legacy), lambda: wl.loop(live))
 
 
+def bench_gen_spec_vs_boxed():
+    """The derived ``bst iio`` generator with the pass on (its
+    ``__spec_fast__`` twin runs) against a pass-off context (the boxed
+    fast twin runs), in same-process pairs whose sides alternate chunk
+    by chunk (and which side leads alternates by pair).  Chunk *c*
+    draws from seed ``GEN_SEED * 1000 + c`` on both sides — asserted
+    equal once — so each pair times identical work and the spread is
+    timing noise only.  Returns the per-pair ratios boxed/spec."""
+    ctx_spec = bst.make_context()
+    ctx_plain = bst.make_context()
+    disable_specialization(ctx_plain)
+    mode = Mode.from_string("iio")
+    spec = resolve_compiled(ctx_spec, GEN, "bst", mode)
+    plain = resolve_compiled(ctx_plain, GEN, "bst", mode)
+    assert spec.__spec_fast__ is not None  # the twin genuinely exists
+    assert not hasattr(plain, "__spec_fast__")
+    ins = bst.BstWorkload(ctx_spec).bounds()
+
+    def chunk(fn, c):
+        rng = random.Random(GEN_SEED * 1000 + c)
+        return [fn(GEN_FUEL, ins, rng) for _ in range(GEN_CALLS)]
+
+    for c in range(GEN_CHUNKS):
+        assert chunk(spec, c) == chunk(plain, c)
+
+    def timed(fn, c):
+        start = time.process_time()
+        chunk(fn, c)
+        return time.process_time() - start
+
+    ratios = []
+    for i in range(GEN_PAIRS):
+        t_spec = t_plain = 0.0
+        for c in range(GEN_CHUNKS):
+            if i % 2:
+                t_spec += timed(spec, c)
+                t_plain += timed(plain, c)
+            else:
+                t_plain += timed(plain, c)
+                t_spec += timed(spec, c)
+        ratios.append(t_plain / t_spec)
+    return ratios
+
+
+def gen_summary(ratios: list) -> dict:
+    """Median per-pair ratio, its IQR, and the bar and the median's
+    distance from it in IQRs (ROADMAP item 2: a bar must be at least
+    3x the IQR of what it gates)."""
+    q1, med, q3 = statistics.quantiles(ratios, n=4)
+    iqr = q3 - q1
+    return {
+        "ratio_median": med,
+        "ratio_iqr": iqr,
+        "pairs": len(ratios),
+        "bar": GEN_BAR,
+        "bar_over_iqr": GEN_BAR / iqr if iqr else float("inf"),
+        "margin_over_iqr": (med - GEN_BAR) / iqr if iqr else float("inf"),
+    }
+
+
 def bench_fig3_deltas():
     """Derived vs handwritten checker throughput per case study —
     the numbers behind the EXPERIMENTS.md before/after table."""
@@ -309,6 +390,15 @@ def run_all(verbose: bool = True):
     results["legacy6 STLC"] = t_off6 / t_pr6_off
     if verbose:
         _row(f"off vs pr6  {swl.name}", t_pr6_off, t_off6, "pr6/live")
+    gen = gen_summary(bench_gen_spec_vs_boxed())
+    for key, value in gen.items():
+        results[f"gen BST {key}"] = value
+    if verbose:
+        print(
+            f"[bench_specialize] gen twin/boxed bst iio      median "
+            f"{gen['ratio_median']:5.2f}x   IQR {gen['ratio_iqr']:.3f}   "
+            f"bar/IQR {gen['bar_over_iqr']:.1f}"
+        )
     for case, delta in bench_fig3_deltas().items():
         results[f"fig3 {case}"] = delta
         if verbose:
@@ -351,6 +441,22 @@ def test_disabled_functionalization_costs_nothing():
     assert t_off / t_pr6 <= LEGACY_BAR, (
         f"functionalization-off emitter {t_off / t_pr6:.2f}x the frozen "
         f"PR-6 emitter (bar {LEGACY_BAR}x)"
+    )
+
+
+def test_generator_twin_speedup_bst():
+    gen = gen_summary(bench_gen_spec_vs_boxed())
+    for key, value in gen.items():
+        record("specialize", f"gen BST {key}", value)
+    print(
+        f"[bench_specialize] gen twin/boxed bst iio median "
+        f"{gen['ratio_median']:.2f}x IQR {gen['ratio_iqr']:.3f} "
+        f"bar/IQR {gen['bar_over_iqr']:.1f} "
+        f"(median - bar)/IQR {gen['margin_over_iqr']:.1f}"
+    )
+    assert gen["ratio_median"] >= GEN_BAR, (
+        f"generator twin speedup only {gen['ratio_median']:.2f}x on the "
+        f"BST generator (bar {GEN_BAR}x)"
     )
 
 

@@ -30,7 +30,8 @@ Compilation scheme (checker):
 One op walker (:class:`_SpecPlanCompiler`) emits every checker
 fixpoint: the boxed ``rec`` is its all-``BOX`` case, and the
 representation-specialized twins differ only in the reprs fixed at
-each compile site in :func:`compile_checker`.
+each compile site in :func:`compile_checker`.  Its generator walker
+does the same for :func:`compile_generator`.
 
 Enumerators compile to Python generator functions (``yield`` /
 ``yield from``), generators to single-sample recursive functions with
@@ -97,9 +98,9 @@ class _Emitter:
 
 
 class _PlanCompiler:
-    """Plan-to-source compiler: the enumerator and generator walkers,
-    the direct-eval twin, the dispatch tables and the instrumented
-    fixpoint top.  The checker op walker is :class:`_SpecPlanCompiler`."""
+    """Plan-to-source compiler: the enumerator walker, the direct-eval
+    twin, the dispatch tables and the instrumented fixpoint top.  The
+    checker and generator op walkers are :class:`_SpecPlanCompiler`'s."""
 
     def __init__(
         self, ctx: Context, plan: Plan, kind: str, fast: bool = False
@@ -163,9 +164,7 @@ class _PlanCompiler:
         return f"{fn_name}({args})"
 
     def args_tuple(self, exprs: tuple) -> str:
-        inner = ", ".join(self.expr(e) for e in exprs)
-        trailing = "," if len(exprs) == 1 else ""
-        return f"({inner}{trailing})"
+        return _tuple_code([self.expr(e) for e in exprs])
 
     def _emit_instr_locals(self, em: _Emitter) -> None:
         if self.fast:
@@ -692,69 +691,6 @@ class _PlanCompiler:
         em.emit("return OUT_OF_FUEL if _fuel else FAIL")
         em.indent -= 1
 
-    # .. generator ...............................................................
-
-    def _emit_gen_handler(self, em: _Emitter, h: PlanHandler) -> None:
-        em.emit(f"def _h_{h.index}({self._handler_params()}):")
-        em.indent += 1
-        for i, op in enumerate(h.ops):
-            tag = op[0]
-            if tag == OP_EVAL:
-                em.emit(f"{self.slot(op[1])} = {self.expr(op[2])}")
-            elif tag in (OP_TESTCTOR, OP_TESTCONST, OP_TESTEQ):
-                self._emit_test(em, op, "return FAIL")
-            elif tag == OP_CHECK:
-                r = f"_r{i}"
-                fn = self._bind_fn(f"_chk_{op[4]}", self.checker_fn(op[4]))
-                em.emit(f"{r} = {fn}(_top, {self.args_tuple(op[2])})")
-                if op[3]:
-                    em.emit(f"{r} = _negate({r})")
-                em.emit(f"if {r} is not SOME_TRUE:")
-                em.indent += 1
-                em.emit(f"return OUT_OF_FUEL if {r} is NONE_OB else FAIL")
-                em.indent -= 1
-            elif tag == OP_RECCHECK:
-                raise AssertionError(
-                    "producer schedules never contain recursive checker calls"
-                )
-            elif tag in (OP_PRODUCE, OP_EVALREL):
-                # OP_EVALREL degenerates to OP_PRODUCE here: the
-                # generator monad draws a single sample per producer op
-                # already (same RNG stream with the pass on or off).
-                item = f"_it{i}"
-                if op[5]:  # recursive self-call, one level down
-                    em.emit(
-                        f"{item} = rec(_size1, _top, "
-                        f"{self.args_tuple(op[3])}, _rng)"
-                    )
-                else:
-                    fn = self._bind_fn(
-                        f"_gen_{op[6]}", self.producer_fn(op[6], op[7])
-                    )
-                    em.emit(
-                        f"{item} = {fn}(_top, {self.args_tuple(op[3])}, _rng)"
-                    )
-                em.emit(f"if {item} is FAIL or {item} is OUT_OF_FUEL:")
-                em.indent += 1
-                em.emit(f"return {item}")
-                em.indent -= 1
-                for k, dst in enumerate(op[4]):
-                    em.emit(f"{self.slot(dst)} = {item}[{k}]")
-            else:  # OP_INSTANTIATE
-                gen_fn = self._bind_global(
-                    "_arbg", _make_arbitrary_gen(self.ctx, op[2])
-                )
-                item = self.slot(op[1])
-                em.emit(f"{item} = {gen_fn}(_top, _rng)")
-                em.emit(f"if {item} is FAIL or {item} is OUT_OF_FUEL:")
-                em.indent += 1
-                em.emit(f"return {item}")
-                em.indent -= 1
-        outs = ", ".join(self.expr(e) for e in h.out_exprs)
-        trailing = "," if len(h.out_exprs) == 1 else ""
-        em.emit(f"return ({outs}{trailing})")
-        em.indent -= 1
-
     # .. the fixpoint .............................................................
 
     def _emit_entry_charge(self, em: _Emitter, *stmts: str) -> None:
@@ -983,7 +919,8 @@ class _SpecUnsupported(Exception):
 
 
 class _SpecPlanCompiler(_PlanCompiler):
-    """The checker compiler: one op walker for every checker fixpoint.
+    """The checker and generator compiler: one op walker per kind for
+    every fixpoint of that kind.
 
     Emits the handler/dispatch/fixpoint structure of the base compiler
     — op for op, with identical budget charge sites, trace record
@@ -1014,10 +951,22 @@ class _SpecPlanCompiler(_PlanCompiler):
       entry wrapper catches by re-running ``rec``), omits every
       trace/observe/budget site, inlines straight-line handlers into
       the dispatch, and turns final-position recursion into a jump.
+
+    :func:`compile_generator` uses the generator walker (``kind="gen"``)
+    the same way: ``info=None`` gives the boxed ``rec`` and, with
+    ``fast=True``, the boxed ``__fast_rec__``; ``info`` with
+    ``fast=True`` gives the generator twin (``__spec_fast__``), which
+    converts nothing partially (see :meth:`_emit_gen_handler`).
     """
 
     def __init__(
-        self, ctx: Context, plan: Plan, info, boxed_rec, fast: bool = False
+        self,
+        ctx: Context,
+        plan: Plan,
+        info,
+        boxed_rec,
+        fast: bool = False,
+        kind: str = "checker",
     ) -> None:
         # fast=True emits the instrumentation-free twin: every
         # trace/observe/budget site is omitted instead of guarded.
@@ -1025,11 +974,15 @@ class _SpecPlanCompiler(_PlanCompiler):
         # is absent, so the twin is observationally identical on
         # uninstrumented contexts — and the entry wrapper only selects
         # it in exactly that state.
-        super().__init__(ctx, plan, "checker", fast)
+        super().__init__(ctx, plan, kind, fast)
         self.all_box = info is None
         if info is None:
             n = len(plan.mode.ins)
-            info = specialize.SpecInfo((specialize.BOX,) * n, (None,) * n)
+            info = specialize.SpecInfo(
+                (specialize.BOX,) * n,
+                (None,) * n,
+                (specialize.BOX,) * len(plan.mode.out_list),
+            )
         self.info = info
         self.globals["_rbox"] = boxed_rec
         self.globals["_box_nat"] = specialize.box_nat
@@ -1143,9 +1096,7 @@ class _SpecPlanCompiler(_PlanCompiler):
         return f"{self._boxer(r)}({code})"
 
     def sargs_tuple(self, exprs: tuple) -> str:
-        inner = ", ".join(self.boxed(e) for e in exprs)
-        trailing = "," if len(exprs) == 1 else ""
-        return f"({inner}{trailing})"
+        return _tuple_code([self.boxed(e) for e in exprs])
 
     # .. slot typing (drives eager unboxing at projections) ......................
 
@@ -1269,7 +1220,12 @@ class _SpecPlanCompiler(_PlanCompiler):
         comp_types = self._component_types(src, ctor)
         for k, dst in enumerate(dsts):
             ty = comp_types[k] if comp_types is not None else None
-            if self.fast and isinstance(ty, Ty) and ty.name == "nat":
+            if (
+                self.fast
+                and self.kind == "checker"
+                and isinstance(ty, Ty)
+                and ty.name == "nat"
+            ):
                 em.emit(f"{self.slot(dst)} = _unbox_nat({sname}.args[{k}])")
                 self._srepr[dst] = specialize.NAT
             else:
@@ -1284,12 +1240,9 @@ class _SpecPlanCompiler(_PlanCompiler):
         (``_size/_in* = ...; continue``).  Only legal when every
         argument already sits in its entry repr; returns False (and
         emits nothing) otherwise, leaving the caller to emit a call."""
-        parts = []
-        for e, w in zip(exprs, self.info.entry_reprs):
-            code, r = self.sexpr(e, hint=w)
-            if r != w:
-                return False
-            parts.append(code)
+        parts = self._native_args(exprs, self.info.entry_reprs)
+        if parts is None:
+            return False
         em.emit("_size = _size1")
         if parts:
             targets = ", ".join(self._ins_params())
@@ -1297,15 +1250,19 @@ class _SpecPlanCompiler(_PlanCompiler):
         em.emit("continue")
         return True
 
-    def _rec_call(self, exprs: tuple) -> str:
-        wanted = self.info.entry_reprs
+    def _native_args(self, exprs: tuple, wanted: tuple) -> "list | None":
+        """The argument codes when every expression compiles straight
+        into its *wanted* repr, else ``None`` (no runtime unboxing)."""
         parts = []
         for e, w in zip(exprs, wanted):
             code, r = self.sexpr(e, hint=w)
             if r != w:
-                parts = None
-                break
+                return None
             parts.append(code)
+        return parts
+
+    def _rec_call(self, exprs: tuple) -> str:
+        parts = self._native_args(exprs, self.info.entry_reprs)
         if parts is not None:
             return f"rec(_size1, _top, {', '.join(parts)})"
         # Repr mismatch: hand the call to the boxed twin (same charge
@@ -1317,19 +1274,21 @@ class _SpecPlanCompiler(_PlanCompiler):
         """A premise call: the callee's matching twin, bound directly
         when every argument already sits in its entry repr (``lt``
         inside ``bst`` is then one call on ints), else its public
-        entry.  The boxed ``rec`` always takes the public entry."""
+        entry.  The boxed ``rec`` always takes the public entry.
+
+        A generator twin must never raise a coercion error, while a
+        checker's fast twin unboxes ``nat`` components of its boxed
+        arguments eagerly; so a generator binds it only when no
+        argument is boxed, and otherwise takes the public entry, which
+        falls back internally."""
         fn = self.checker_fn(op[4])
         attr = "__spec_fast__" if self.fast else "__spec_rec__"
         srec = None if self.all_box else getattr(fn, attr, None)
         wanted = getattr(fn, "__spec_reprs__", None)
+        if self.kind == "gen" and wanted is not None and specialize.BOX in wanted:
+            srec = None
         if srec is not None and wanted is not None and len(op[2]) == len(wanted):
-            parts = []
-            for e, w in zip(op[2], wanted):
-                code, r = self.sexpr(e, hint=w)
-                if r != w:
-                    parts = None
-                    break
-                parts.append(code)
+            parts = self._native_args(op[2], wanted)
             if parts is not None:
                 f = self._bind_fn(f"_spchk_{op[4]}", srec)
                 return f"{f}(_top, _top, {', '.join(parts)})"
@@ -1355,20 +1314,12 @@ class _SpecPlanCompiler(_PlanCompiler):
         em.emit("return NONE_OB if _inc else SOME_FALSE")
         em.indent -= 1
 
-    def _emit_entry_charge(self, em: _Emitter, *stmts: str) -> None:
-        if not self.fast:
-            super()._emit_entry_charge(em, *stmts)
-
-    def _emit_handler_charge(self, em: _Emitter, *stmts: str) -> None:
-        if not self.fast:
-            super()._emit_handler_charge(em, *stmts)
-
     def _emit_loop_charge(self, em: _Emitter, *stmts: str) -> None:
         if not self.fast:
             super()._emit_loop_charge(em, *stmts)
 
     def _emit_top(self, em: _Emitter) -> None:
-        if not self.fast:
+        if not self.fast or self.kind == "gen":
             super()._emit_top(em)
             return
         # The fast twin's fixpoint: no trace/observe/budget sites, and
@@ -1662,13 +1613,122 @@ class _SpecPlanCompiler(_PlanCompiler):
             i += 1
         em.emit("return SOME_TRUE")
 
-    def _emit_outs(self, em: _Emitter, op: tuple, src: str) -> None:
-        """Bind a producer call's outputs, which arrive boxed, from
-        answer tuple *src*."""
+    # .. the generator body ......................................................
+
+    def _emit_gen_handler(self, em: _Emitter, h: PlanHandler) -> None:
+        """A generator handler: ops, draws and failure returns in plan
+        order, over tracked reprs (all ``BOX`` in the boxed fixpoints).
+        The twin converts nothing partially — no eager unboxing at
+        projections, premise twins bound only where they cannot raise —
+        so once the entry coercion succeeded it returns what the boxed
+        fast twin returns, after the same draws."""
+        self._srepr = dict(enumerate(self.info.entry_reprs))
+        self._stype = dict(enumerate(self.info.entry_types))
+        em.emit(f"def _h_{h.index}({self._handler_params()}):")
+        em.indent += 1
+        for i, op in enumerate(h.ops):
+            tag = op[0]
+            if tag == OP_EVAL:
+                code, r = self.sexpr(op[2])
+                em.emit(f"{self.slot(op[1])} = {code}")
+                self._srepr[op[1]] = r
+                self._stype[op[1]] = self._expr_type(op[2])
+            elif tag in (OP_TESTCTOR, OP_TESTCONST, OP_TESTEQ):
+                self._emit_test(em, op, "return FAIL")
+            elif tag == OP_CHECK:
+                r = f"_r{i}"
+                em.emit(f"{r} = {self._check_call(op)}")
+                if op[3]:
+                    em.emit(f"{r} = _negate({r})")
+                em.emit(f"if {r} is not SOME_TRUE:")
+                em.indent += 1
+                em.emit(f"return OUT_OF_FUEL if {r} is NONE_OB else FAIL")
+                em.indent -= 1
+            elif tag == OP_RECCHECK:
+                raise AssertionError(
+                    "producer schedules never contain recursive checker calls"
+                )
+            elif tag in (OP_PRODUCE, OP_EVALREL):
+                item = f"_it{i}"
+                call, reprs = self._gen_call(op)
+                em.emit(f"{item} = {call}")
+                em.emit(f"if {item} is FAIL or {item} is OUT_OF_FUEL:")
+                em.indent += 1
+                em.emit(f"return {item}")
+                em.indent -= 1
+                self._emit_outs(em, op, item, reprs)
+            else:  # OP_INSTANTIATE
+                gen_fn = self._bind_global(
+                    "_arbg", _make_arbitrary_gen(self.ctx, op[2])
+                )
+                item = self.slot(op[1])
+                em.emit(f"{item} = {gen_fn}(_top, _rng)")
+                em.emit(f"if {item} is FAIL or {item} is OUT_OF_FUEL:")
+                em.indent += 1
+                em.emit(f"return {item}")
+                em.indent -= 1
+                # The boxed draw, then a total conversion of a value
+                # the arbitrary generator built well-typed.
+                r = specialize.repr_of(op[2])
+                if r == specialize.NAT and not self.all_box:
+                    em.emit(f"{item} = _unbox_nat({item})")
+                else:
+                    r = specialize.BOX
+                self._srepr[op[1]] = r
+                self._stype[op[1]] = op[2]
+        outs = []
+        for e, w in zip(h.out_exprs, self.info.out_reprs):
+            code, r = self.sexpr(e, hint=w)
+            if r != w:
+                if w != specialize.BOX:
+                    raise _SpecUnsupported(
+                        f"output of {h.rule} not in repr {w!r}"
+                    )
+                code = f"{self._boxer(r)}({code})"
+            outs.append(code)
+        trailing = "," if len(outs) == 1 else ""
+        em.emit(f"return ({', '.join(outs)}{trailing})")
+        em.indent -= 1
+
+    def _gen_call(self, op: tuple) -> tuple[str, tuple]:
+        """A producer premise of a generator fixpoint and the reprs its
+        outputs arrive in.  Recursion passes entry reprs (or hands a
+        call whose arguments are not native to the boxed fast twin);
+        an external premise binds the callee's generator twin when the
+        argument reprs agree — a memo wrapper hides it, so memoized
+        callees keep their counted public entry."""
+        boxed_outs = (specialize.BOX,) * len(op[4])
+        if op[5]:  # recursive self-call, one level down
+            parts = self._native_args(op[3], self.info.entry_reprs)
+            if parts is None:
+                args = self.sargs_tuple(op[3])
+                return f"_rbox(_size1, _top, {args}, _rng)", boxed_outs
+            args = _tuple_code(parts)
+            return f"rec(_size1, _top, {args}, _rng)", self.info.out_reprs
+        fn = self.producer_fn(op[6], op[7])
+        srec = None if self.all_box else getattr(fn, "__spec_fast__", None)
+        wanted = getattr(fn, "__spec_reprs__", None)
+        if srec is not None and len(op[3]) == len(wanted):
+            parts = self._native_args(op[3], wanted)
+            if parts is not None:
+                f = self._bind_fn(f"_spgen_{op[6]}", srec)
+                return (
+                    f"{f}(_top, _top, {_tuple_code(parts)}, _rng)",
+                    fn.__spec_out_reprs__,
+                )
+        f = self._bind_fn(f"_gen_{op[6]}", fn)
+        return f"{f}(_top, {self.sargs_tuple(op[3])}, _rng)", boxed_outs
+
+    def _emit_outs(
+        self, em: _Emitter, op: tuple, src: str, reprs: tuple = ()
+    ) -> None:
+        """Bind a producer call's outputs from answer tuple *src*; they
+        arrive in *reprs* (boxed when not given)."""
         types = self._produce_out_types(op) or (None,) * len(op[4])
+        reprs = reprs or (specialize.BOX,) * len(op[4])
         for k, dst in enumerate(op[4]):
             em.emit(f"{self.slot(dst)} = {src}[{k}]")
-            self._srepr[dst] = specialize.BOX
+            self._srepr[dst] = reprs[k]
             self._stype[dst] = types[k]
 
     def _produce_out_types(self, op: tuple):
@@ -1700,6 +1760,12 @@ class _SpecPlanCompiler(_PlanCompiler):
         else:
             key = f"{scrut}.ctor"
         em.emit(f"_hs = _disp_{which}.get({key}, _disp_{which}_d)")
+
+
+def _tuple_code(parts: list) -> str:
+    """A Python tuple display of the code strings *parts*."""
+    trailing = "," if len(parts) == 1 else ""
+    return f"({', '.join(parts)}{trailing})"
 
 
 def _make_arbitrary_enum(ctx: Context, ty: TypeExpr):
@@ -1918,21 +1984,65 @@ def _attach_eval_twin(ctx: Context, plan, enum_st) -> None:
 
 def compile_generator(ctx: Context, schedule: Schedule):
     """Compile a gen schedule to ``fn(fuel, ins, rng) -> tuple|marker``
-    (with the same fast-twin selection as :func:`compile_enumerator`)."""
+    (with the same fast-twin selection as :func:`compile_enumerator`).
+
+    When :func:`repro.derive.specialize.spec_info` approves the plan,
+    the uninstrumented path runs a representation-specialized twin
+    (``__spec_fast__``) instead, fronted by unboxing coercions at the
+    entry and boxing at the exit.  An ill-typed input falls back to the
+    boxed fast twin before anything is drawn; past the entry the twin
+    cannot fail, and it makes the boxed twin's draws in the boxed
+    twin's order, so samples and ``rng`` state are
+    representation-independent.
+    """
     plan = lower_schedule(ctx, schedule)
-    rec = _PlanCompiler(ctx, plan, "gen").compile()
+    rec = _SpecPlanCompiler(ctx, plan, None, None, kind="gen").compile()
     if not specialize.specialization_enabled(ctx):
 
         def gen_st(fuel: int, ins: tuple, rng):
             return rec(fuel, fuel, ins, rng)
 
     else:
-        fast = _PlanCompiler(ctx, plan, "gen", fast=True).compile()
+        fast = _SpecPlanCompiler(
+            ctx, plan, None, None, fast=True, kind="gen"
+        ).compile()
+        info = specialize.spec_info(ctx, plan)
+        spec = None
+        if info is not None:
+            try:
+                spec = _SpecPlanCompiler(
+                    ctx, plan, info, fast, fast=True, kind="gen"
+                ).compile()
+            except _SpecUnsupported:
+                spec = None
 
-        def gen_st(fuel: int, ins: tuple, rng):
-            if _uninstrumented(ctx.caches):
-                return fast(fuel, fuel, ins, rng)
-            return rec(fuel, fuel, ins, rng)
+        if spec is None:
+
+            def gen_st(fuel: int, ins: tuple, rng):
+                if _uninstrumented(ctx.caches):
+                    return fast(fuel, fuel, ins, rng)
+                return rec(fuel, fuel, ins, rng)
+
+        else:
+            unbox = tuple(specialize.unboxer(r) for r in info.entry_reprs)
+            box = tuple(specialize.boxer(r) for r in info.out_reprs)
+            CoercionError = specialize.SpecCoercionError
+
+            def gen_st(fuel: int, ins: tuple, rng):
+                if not _uninstrumented(ctx.caches):
+                    return rec(fuel, fuel, ins, rng)
+                try:
+                    sins = tuple([f(a) for f, a in zip(unbox, ins)])
+                except CoercionError:
+                    return fast(fuel, fuel, ins, rng)
+                res = spec(fuel, fuel, sins, rng)
+                if res is FAIL or res is OUT_OF_FUEL:
+                    return res
+                return tuple([f(x) for f, x in zip(box, res)])
+
+            gen_st.__spec_fast__ = spec
+            gen_st.__spec_reprs__ = info.entry_reprs
+            gen_st.__spec_out_reprs__ = info.out_reprs
 
         gen_st.__fast_rec__ = fast
 

@@ -1,4 +1,4 @@
-"""Term-representation specialization for the compiled checker backend.
+"""Term-representation specialization for the compiled backend.
 
 EXPERIMENTS.md records the reproduction's biggest fidelity gap: derived
 checkers lost double-digit percentages against handwritten baselines
@@ -36,9 +36,13 @@ differential suite):
   never depend on specialization;
 * all boxing directions are total, so no coercion inside a
   specialized fixpoint can fail except the statically type-directed
-  eager unboxes of the uninstrumented fast twin, which unwind to the
-  same entry fallback.  The instrumented twin does not unbox eagerly:
-  it fails only at its entry, before it records anything.
+  eager unboxes of the uninstrumented fast checker twin, which unwind
+  to the same entry fallback.  The instrumented twin does not unbox
+  eagerly: it fails only at its entry, before it records anything;
+* a generator twin (uninstrumented only) converts nothing partially
+  past its entry either: a re-run after a draw would consume the RNG
+  differently, so it must return exactly what the boxed twin returns
+  and leave the RNG in the same state.
 
 The pass is on by default; ``disable_specialization(ctx)`` or the
 ``REPRO_NO_SPECIALIZE`` environment variable turn it off (existing
@@ -133,13 +137,17 @@ def worthwhile(r: Any) -> bool:
 
 
 class SpecInfo:
-    """The per-plan specialization decision: entry reprs + arg types."""
+    """The per-plan specialization decision: entry reprs + arg types,
+    and for generator plans the reprs their outputs are returned in."""
 
-    __slots__ = ("entry_reprs", "entry_types")
+    __slots__ = ("entry_reprs", "entry_types", "out_reprs")
 
-    def __init__(self, entry_reprs: tuple, entry_types: tuple) -> None:
+    def __init__(
+        self, entry_reprs: tuple, entry_types: tuple, out_reprs: tuple = ()
+    ) -> None:
         self.entry_reprs = entry_reprs
         self.entry_types = entry_types
+        self.out_reprs = out_reprs
 
 
 def _component_opportunity(ctx: Context, types: tuple) -> bool:
@@ -162,10 +170,10 @@ def _component_opportunity(ctx: Context, types: tuple) -> bool:
 def _eligible(ctx: Context, plan: Plan) -> bool:
     if not specialization_enabled(ctx):
         return False
-    if not plan.mode.is_checker:
-        return False
     # OP_RECCHECK is (OP_RECCHECK, exprs, rel|None): a non-None rel
     # that differs from the plan's own names a mutual-group sibling.
+    # Producer plans hold no OP_RECCHECK: their recursion is always
+    # on themselves.
     for h in plan.handlers:
         for op in h.ops:
             if op[0] == OP_RECCHECK and op[2] not in (None, plan.rel):
@@ -173,23 +181,38 @@ def _eligible(ctx: Context, plan: Plan) -> bool:
     return True
 
 
-def spec_info(ctx: Context, plan: Plan) -> "SpecInfo | None":
-    """Decide whether (and how) to specialize *plan*.
+def _worthwhile_reprs(types: tuple) -> tuple:
+    return tuple(
+        r if worthwhile(r) else BOX for r in (repr_of(t) for t in types)
+    )
 
-    Returns ``None`` when the pass is disabled, the plan is not a
-    checker, it belongs to a mutual-recursion group (the compiled
-    backend's single ``rec`` cannot dispatch group siblings), or no
-    slot would change representation (specializing then would only
-    duplicate code).
+
+def spec_info(ctx: Context, plan: Plan) -> "SpecInfo | None":
+    """Decide whether (and how) to specialize *plan* — a checker plan,
+    or a generator plan (the only producer plans the compiled backend
+    specializes).
+
+    Returns ``None`` when the pass is disabled, the plan belongs to a
+    mutual-recursion group (the compiled backend's single ``rec``
+    cannot dispatch group siblings), or no slot would change
+    representation (specializing then would only duplicate code).  A
+    checker also qualifies through a specializable constructor
+    component of an argument (:func:`_component_opportunity`, unboxed
+    at projections); a generator qualifies only through a worthwhile
+    input or output repr, since its twin never unboxes at projections.
     """
     if not _eligible(ctx, plan):
         return None
     relation = ctx.relations.get(plan.rel)
     entry_types = tuple(relation.arg_types[i] for i in plan.mode.ins)
-    entry_reprs = tuple(
-        r if worthwhile(r) else BOX
-        for r in (repr_of(t) for t in entry_types)
-    )
+    entry_reprs = _worthwhile_reprs(entry_types)
+    if not plan.mode.is_checker:
+        out_reprs = _worthwhile_reprs(
+            tuple(relation.arg_types[i] for i in plan.mode.out_list)
+        )
+        if all(r == BOX for r in entry_reprs + out_reprs):
+            return None
+        return SpecInfo(entry_reprs, entry_types, out_reprs)
     if all(r == BOX for r in entry_reprs) and not _component_opportunity(
         ctx, entry_types
     ):
@@ -203,7 +226,7 @@ def boxed_info(ctx: Context, plan: Plan) -> "SpecInfo | None":
     uses it to build the instrumentation-free fast twin — same boxed
     representation, but with straight-line handlers inlined into the
     dispatch — without enabling any representation change."""
-    if not _eligible(ctx, plan):
+    if not plan.mode.is_checker or not _eligible(ctx, plan):
         return None
     relation = ctx.relations.get(plan.rel)
     entry_types = tuple(relation.arg_types[i] for i in plan.mode.ins)

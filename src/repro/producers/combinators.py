@@ -193,31 +193,61 @@ def gen_datatype(ctx: Context, ty: TypeExpr) -> Generator:
     return Generator(run)
 
 
+#: ``ctx.artifacts`` key of the per-type constructor tables.
+GEN_TABLES = "gen_value_tables"
+
+
+def _gen_table(ctx: Context, ty: TypeExpr) -> tuple:
+    """The constructor table of *ty*: ``(rows, nullary)``, each row
+    ``(name, arg_types, arg_tables)`` with the argument types already
+    instantiated, built once per context.
+
+    Keyed on the type expression: a context never redeclares a
+    datatype, so a type names one :class:`DataType` for the context's
+    life, and hashing the type is far cheaper than hashing the
+    declaration.  Argument tables link on first use (``arg_tables``
+    starts as ``None`` slots), so an argument type that cannot be
+    produced raises exactly where a per-node lookup would."""
+    tables = ctx.artifacts.setdefault(GEN_TABLES, {})
+    table = tables.get(ty)
+    if table is None:
+        dt, ty_args = _require_datatype(ctx, ty)
+        rows = []
+        for c in dt.constructors:
+            arg_tys = dt.constructor_arg_types(c.name, ty_args)
+            rows.append((c.name, arg_tys, [None] * len(arg_tys)))
+        table = tables[ty] = (rows, [row for row in rows if not row[1]])
+    return table
+
+
 def _gen_value(ctx: Context, ty: TypeExpr, size: int, rng: random.Random) -> Any:
-    dt, ty_args = _require_datatype(ctx, ty)
-    if size == 0:
-        candidates = [c for c in dt.constructors if not c.arg_types]
-    else:
-        candidates = list(dt.constructors)
+    return _gen_from(ctx, _gen_table(ctx, ty), size, rng)
+
+
+def _gen_from(ctx: Context, table: tuple, size: int, rng: random.Random) -> Any:
+    rows, nullary = table
+    candidates = nullary if size == 0 else rows
     if not candidates:
-        return OUT_OF_FUEL if dt.constructors else FAIL
+        return OUT_OF_FUEL if rows else FAIL
     # Retry within the candidate set: an inner OUT_OF_FUEL (an argument
     # type with no small inhabitants) discards that constructor.
     options = list(candidates)
     saw_fuel = False
     while options:
-        ctor = options[rng.randrange(len(options))]
-        arg_tys = dt.constructor_arg_types(ctor.name, ty_args)
+        row = options[rng.randrange(len(options))]
+        name, arg_tys, arg_tables = row
         args = []
         failed = False
-        for at in arg_tys:
-            sub = _gen_value(ctx, at, size - 1, rng)
+        for k, sub_table in enumerate(arg_tables):
+            if sub_table is None:
+                sub_table = arg_tables[k] = _gen_table(ctx, arg_tys[k])
+            sub = _gen_from(ctx, sub_table, size - 1, rng)
             if not is_value(sub):
                 saw_fuel = saw_fuel or sub is OUT_OF_FUEL
                 failed = True
                 break
             args.append(sub)
         if not failed:
-            return Value(ctor.name, tuple(args))
-        options.remove(ctor)
+            return Value(name, tuple(args))
+        options.remove(row)
     return OUT_OF_FUEL if saw_fuel else FAIL

@@ -36,6 +36,8 @@ from repro.producers.option_bool import NONE_OB
 from repro.resilience import FaultPlan, budget_scope
 from repro.sf.registry import CHAPTER_MODULES, load_chapter
 
+from ..conftest import LIST_RELATIONS, NAT_RELATIONS, STLC_DECLS
+
 CHECK_FUELS = (0, 2, 5)
 MAX_PER_POSITION = 4
 MAX_TUPLES = 40
@@ -64,8 +66,9 @@ def plain_chapter(module):
 
 def func_off_chapter(module):
     """The same chapter with premise functionalization off — plans
-    keep their enumerate-then-check premises and codegen splices no
-    premise bodies (the pre-pass behaviour)."""
+    keep their enumerate-then-check premises (no ``OP_EVALREL`` ops)
+    and no enumerator carries a direct-eval twin (the pre-pass
+    behaviour)."""
     if module not in _FUNC_OFF_CHAPTERS:
         ch = load_chapter(module)
         disable_functionalization(ch.ctx)
@@ -377,6 +380,184 @@ class TestSpecializedVsUnspecialized:
         disable_specialization(ctx_plain)
         for rel in rels:
             assert _spec_unspec_diff(ctx_spec, ctx_plain, rel, fuels=(0, 2))
+
+
+def _fresh(decls):
+    """A context factory: the standard context plus *decls*."""
+    from repro.core import parse_declarations
+    from repro.stdlib import standard_context
+
+    def make():
+        ctx = standard_context()
+        for d in decls:
+            parse_declarations(ctx, d)
+        return ctx
+
+    return make
+
+
+def _case_study(name):
+    import importlib
+
+    return importlib.import_module(f"repro.casestudies.{name}").make_context
+
+
+#: Every compiled generator mode this suite derives elsewhere: the
+#: ``TestAllModesSmallRelations`` and ``TestSampledGenerators`` modes
+#: and the case studies' (``lt io`` is ``bst iio``'s premise).
+GEN_TWIN_MODES = [
+    ("nat", "le", "io"), ("nat", "le", "oi"), ("nat", "le", "oo"),
+    ("nat", "ev", "o"),
+    ("list", "Sorted", "o"),
+    ("list", "InNat", "io"), ("list", "InNat", "oi"), ("list", "InNat", "oo"),
+    ("stlc_fixture", "typing", "iio"), ("stlc_fixture", "typing", "ioi"),
+    ("stlc_fixture", "lookup", "ioi"),
+    ("bst", "bst", "iio"), ("bst", "lt", "io"),
+    ("stlc", "typing", "ioi"),
+    ("ifc", "indist_list", "io"),
+]
+
+_GEN_MAKERS = {
+    "nat": _fresh((NAT_RELATIONS,)),
+    "list": _fresh((NAT_RELATIONS, LIST_RELATIONS)),
+    "stlc_fixture": _fresh((STLC_DECLS,)),
+    "bst": _case_study("bst"),
+    "stlc": _case_study("stlc"),
+    "ifc": _case_study("ifc"),
+}
+
+
+def _gen_pair(maker, rel, mode_str, prepare=None):
+    """The compiled generator for ``rel mode_str`` in two fresh
+    contexts, specialization on and off; *prepare* runs on each
+    context before anything is derived."""
+    mode = Mode.from_string(mode_str)
+    fns = []
+    for spec in (True, False):
+        ctx = _GEN_MAKERS[maker]()
+        if not spec:
+            disable_specialization(ctx)
+        if prepare is not None:
+            prepare(ctx)
+        fns.append((ctx, resolve_compiled(ctx, GEN, rel, mode)))
+    return fns
+
+
+def _assert_same_draws(on, off, fuel, ins, seeds, calls=3):
+    """Equal samples and equal ``rng`` states after every call."""
+    for seed in seeds:
+        r_on, r_off = random.Random(seed), random.Random(seed)
+        for _ in range(calls):
+            a = on(fuel, ins, r_on)
+            b = off(fuel, ins, r_off)
+            assert a == b, f"seed={seed} ins={ins}: {a} vs {b}"
+            assert r_on.getstate() == r_off.getstate(), f"seed={seed} ins={ins}"
+
+
+class TestGeneratorTwins:
+    """The representation-specialized generator twin must be invisible:
+    with specialization on and off, every compiled generator returns
+    the same samples and leaves the RNG in the same state, and the
+    instrumented path (handler counts, op charges, memo call counts)
+    is untouched.  All calls run uninstrumented unless stated, so the
+    twin is the code under test."""
+
+    @pytest.mark.parametrize("maker, rel, mode", GEN_TWIN_MODES)
+    def test_spec_on_off_same_draws(self, maker, rel, mode):
+        (ctx, on), (_, off) = _gen_pair(maker, rel, mode)
+        relation = ctx.relations.get(rel)
+        in_types = [relation.arg_types[i] for i in Mode.from_string(mode).ins]
+        for ins in (seeded_inputs(ctx, in_types) or [()])[:4]:
+            _assert_same_draws(on, off, 4, ins, range(8))
+
+    def test_bst_draws_at_figure3_bounds(self):
+        """Deep trees (the Figure-3 bounds and fuel) and every ``lt``
+        input up to them, many calls per stream."""
+        from repro.core.values import from_int
+
+        (_, on), (_, off) = _gen_pair("bst", "bst", "iio")
+        _assert_same_draws(
+            on, off, 10, (from_int(0), from_int(16)), range(6), calls=25
+        )
+        (_, on), (_, off) = _gen_pair("bst", "lt", "io")
+        for n in range(17):
+            _assert_same_draws(on, off, 10, (from_int(n),), range(6))
+
+    def test_bst_generator_twin_runs_on_ints(self):
+        """The Figure-3 BST generator and its ``lt io`` premise get
+        twins on ints; the twin binds ``lt``'s generator twin and ``lt``'s
+        checker twin directly.  The other Figure-3 generator modes stay
+        boxed: no input or output repr is worth a coercion."""
+        from repro.casestudies import bst, ifc, stlc
+        from repro.derive import specialize as sp
+
+        ctx = bst.make_context()
+        gen = resolve_compiled(ctx, GEN, "bst", Mode.from_string("iio"))
+        lt = resolve_compiled(ctx, GEN, "lt", Mode.from_string("io"))
+        lt_check = resolve_compiled(ctx, CHECKER, "lt", Mode.checker(2))
+        assert gen.__spec_reprs__ == (sp.NAT, sp.NAT)
+        assert gen.__spec_out_reprs__ == (sp.BOX,)
+        assert lt.__spec_reprs__ == lt.__spec_out_reprs__ == (sp.NAT,)
+        bound = gen.__spec_fast__.__globals__.values()
+        assert lt.__spec_fast__ in bound
+        assert lt_check.__spec_fast__ in bound
+        for mod, rel, mode in (
+            (stlc, "typing", "ioi"),
+            (stlc, "lookup", "ioi"),
+            (ifc, "indist_list", "io"),
+            (ifc, "indist_atom", "io"),
+        ):
+            fn = resolve_compiled(
+                mod.make_context(), GEN, rel, Mode.from_string(mode)
+            )
+            assert not hasattr(fn, "__spec_fast__"), (rel, mode)
+
+    def test_ill_typed_input_falls_back_identically(self):
+        from repro.core.values import V
+
+        (_, on), (_, off) = _gen_pair("bst", "lt", "io")
+        assert hasattr(on, "__spec_fast__")
+        _assert_same_draws(on, off, 4, (V("Leaf"),), range(8))
+        (_, on), (_, off) = _gen_pair("bst", "bst", "iio")
+        _assert_same_draws(on, off, 4, (V("Leaf"), V("true")), range(8))
+
+    def test_instrumented_counts_unchanged(self):
+        """Under ``profile`` and a budget the wrapper selects the
+        instrumented boxed twin either way: per-handler counts and op
+        charges are the same with specialization on and off."""
+        from repro import profile
+        from repro.core.values import from_int
+
+        (ctx_on, on), (ctx_off, off) = _gen_pair("bst", "bst", "iio")
+        ins = (from_int(0), from_int(10))
+        entries, ops = [], []
+        for ctx, fn in ((ctx_on, on), (ctx_off, off)):
+            rng = random.Random(5)
+            with profile(ctx) as trace:
+                out = [fn(6, ins, rng) for _ in range(20)]
+            entries.append((out, trace.entries))
+            rng = random.Random(5)
+            with budget_scope(ctx, max_ops=500) as bud:
+                out = [fn(6, ins, rng) for _ in range(20)]
+            ops.append((out, bud.ops, rng.getstate()))
+        assert entries[0][1] and entries[0] == entries[1]
+        assert ops[0] == ops[1]
+
+    def test_memo_counts_every_premise_generator_call(self):
+        """Memo wrappers hide the raw twins, so a twin never bypasses a
+        memoized premise: ``gen_calls`` is the same on and off."""
+        from repro.core.values import from_int
+        from repro.derive import derive_stats, enable_memoization
+
+        pair = _gen_pair("bst", "bst", "iio", prepare=enable_memoization)
+        ins = (from_int(0), from_int(10))
+        calls = []
+        for ctx, fn in pair:
+            rng = random.Random(9)
+            out = [fn(6, ins, rng) for _ in range(30)]
+            calls.append((out, derive_stats(ctx).gen_calls))
+        assert calls[0][1] > 30
+        assert calls[0] == calls[1]
 
 
 class TestFunctionalizeOnOff:

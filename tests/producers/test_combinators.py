@@ -6,9 +6,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.types import BOOL, NAT, Ty
+from repro.core.types import BOOL, NAT, Ty, TyVar
 from repro.core.values import Value, to_int
 from repro.producers.combinators import (
+    GEN_TABLES,
+    _gen_value,
+    _require_datatype,
     bind_CE,
     bind_CG,
     bind_EC,
@@ -19,7 +22,7 @@ from repro.producers.combinators import (
 from repro.producers.enumerators import Enumerator
 from repro.producers.generators import Generator
 from repro.producers.option_bool import NONE_OB, SOME_FALSE, SOME_TRUE
-from repro.producers.outcome import OUT_OF_FUEL, is_value
+from repro.producers.outcome import FAIL, OUT_OF_FUEL, is_value
 from repro.stdlib import standard_context
 
 
@@ -148,3 +151,91 @@ class TestGenDatatype:
         allowed = enum_datatype(ctx, ty).outcomes(size)
         v = gen_datatype(ctx, ty).run(size, random.Random(seed))
         assert v in allowed
+
+
+def _reference_gen_value(ctx, ty, size, rng):
+    """The per-node algorithm the constructor tables replaced: look the
+    datatype up and instantiate the chosen constructor's argument types
+    at every node drawn."""
+    dt, ty_args = _require_datatype(ctx, ty)
+    if size == 0:
+        candidates = [c for c in dt.constructors if not c.arg_types]
+    else:
+        candidates = list(dt.constructors)
+    if not candidates:
+        return OUT_OF_FUEL if dt.constructors else FAIL
+    options = list(candidates)
+    saw_fuel = False
+    while options:
+        ctor = options[rng.randrange(len(options))]
+        args = []
+        failed = False
+        for at in dt.constructor_arg_types(ctor.name, ty_args):
+            sub = _reference_gen_value(ctx, at, size - 1, rng)
+            if not is_value(sub):
+                saw_fuel = saw_fuel or sub is OUT_OF_FUEL
+                failed = True
+                break
+            args.append(sub)
+        if not failed:
+            return Value(ctor.name, tuple(args))
+        options.remove(ctor)
+    return OUT_OF_FUEL if saw_fuel else FAIL
+
+
+class TestGenValueTables:
+    """The table-driven arbitrary-value generator draws exactly what the
+    per-node algorithm drew: same values, same RNG stream."""
+
+    def _cases(self):
+        from repro.casestudies import bst, stlc
+
+        std = standard_context()
+        stlc_ctx = stlc.make_context()
+        bst_ctx = bst.make_context()
+        return [
+            (std, NAT),
+            (std, Ty("list", (NAT,))),
+            (std, Ty("option", (BOOL,))),
+            (stlc_ctx, Ty("type")),
+            (stlc_ctx, Ty("term")),
+            (bst_ctx, Ty("tree")),
+        ]
+
+    def test_same_values_and_rng_state(self):
+        for ctx, ty in self._cases():
+            for size in range(7):
+                for seed in range(12):
+                    r_new, r_ref = random.Random(seed), random.Random(seed)
+                    for _ in range(5):
+                        a = _gen_value(ctx, ty, size, r_new)
+                        b = _reference_gen_value(ctx, ty, size, r_ref)
+                        assert a == b, (ty, size, seed)
+                        assert r_new.getstate() == r_ref.getstate()
+
+    def test_tables_built_once_per_context(self):
+        ctx = standard_context()
+        ty = Ty("list", (NAT,))
+        _gen_value(ctx, ty, 4, random.Random(0))
+        table = ctx.artifacts[GEN_TABLES][ty]
+        _gen_value(ctx, ty, 4, random.Random(1))
+        assert ctx.artifacts[GEN_TABLES][ty] is table
+
+    def test_unproducible_argument_raises_when_drawn(self):
+        from repro.core.errors import DeclarationError
+
+        ctx = standard_context()
+        ty = Ty("list", (TyVar("A"),))
+        outcomes = set()
+        for seed in range(10):
+            got = []
+            for gen in (_gen_value, _reference_gen_value):
+                try:
+                    got.append(gen(ctx, ty, 3, random.Random(seed)))
+                except DeclarationError:
+                    got.append("raised")
+            assert got[0] == got[1], seed
+            outcomes.add(got[0] == "raised")
+        assert outcomes == {True, False}
+        # At size 0 only nil is drawn: the element type is never needed.
+        assert _gen_value(ctx, ty, 0, random.Random(0)) == Value("nil")
